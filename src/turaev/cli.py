@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import sys
 from pathlib import Path
@@ -45,8 +46,22 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _record(call) -> dict:
+    """The worker's record, or an error or refused record for its input."""
+    try:
+        return call()
+    except DiagramError as exc:
+        return {"error": str(exc)}
+    except Refused as exc:
+        return {"refused": exc.reason}
+
+
 def _map_files(paths, worker, jobs: int):
-    """Apply worker to file contents, reporting results in input order."""
+    """Apply worker to file contents, reporting results in input order.
+
+    A worker that raises DiagramError or Refused on one file gives that
+    file an error or refused record; the rest of the batch still runs.
+    """
     texts = []
     results = []
     for p in paths:
@@ -63,13 +78,13 @@ def _map_files(paths, worker, jobs: int):
                 if f is None:
                     results.append((p, {"file": p, "error": str(t)}))
                 else:
-                    results.append((p, f.result()))
+                    results.append((p, _record(f.result)))
     else:
         for p, t in zip(paths, texts):
             if isinstance(t, OSError):
                 results.append((p, {"file": p, "error": str(t)}))
             else:
-                results.append((p, worker(t)))
+                results.append((p, _record(functools.partial(worker, t))))
     return results
 
 
@@ -190,7 +205,7 @@ def _cmd_reduce(args) -> int:
     results = _map_files(args.files, _reduce_worker, args.jobs)
     code = EXIT_OK
     for path, data in results:
-        if "error" in data:
+        if "error" in data or "refused" in data:
             code = max(code, EXIT_INPUT)
         elif not data.get("allTerminalsAlternating", False):
             code = max(code, EXIT_VIOLATION)
@@ -264,20 +279,21 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    results = []
-    for path in args.files:
-        try:
-            text = _read(path)
-        except OSError as exc:
-            results.append((path, {"error": str(exc)}))
-            continue
-        results.append(
-            (path, _check_worker(text, from_turaev=args.from_turaev, max_dual_len=args.max_dual_len))
-        )
+    worker = functools.partial(
+        _check_worker, from_turaev=args.from_turaev, max_dual_len=args.max_dual_len
+    )
+    results = _map_files(args.files, worker, 1)
     code = _emit(results, args.format)
     if any("refused" in data for _, data in results):
         code = max(code, EXIT_INPUT)
     return code
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corpus = sub.add_parser("corpus", help="generate a deduplicated diagram corpus")
     p_corpus.add_argument("--out", required=True)
-    p_corpus.add_argument("--max-crossings", type=int, default=4)
+    p_corpus.add_argument("--max-crossings", type=_positive_int, default=4)
     p_corpus.add_argument("--seed", type=int, default=0)
     p_corpus.add_argument("--random-count", type=int, default=0)
     p_corpus.add_argument("--random-max-crossings", type=int, default=10)

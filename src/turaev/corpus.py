@@ -1,15 +1,20 @@
 # -*- coding: utf-8 -*-
 """Exhaustive and randomized diagram corpora.
 
-Connected diagrams are grown by crossing insertion: cut one or two edges
-at interior points of a common face and wire the loose ends through a new
-crossing, in every cyclic arrangement that stays planar. Smoothing a
-crossing inverts an insertion, and every connected diagram with more than
-one crossing has a crossing whose smoothing stays connected (a deleted
-vertex leaves at most two pieces because 4-valent plane graphs are
-bridgeless, and one of the two smoothings then reconnects them), so
-growing from the one-crossing diagrams reaches everything. Duplicates are
-removed with the canonical form.
+The exhaustive corpus is built in two phases. First the projections
+(shadows: diagrams up to over/under) are grown by crossing insertion: cut
+one or two edges at interior points of a common face and wire the loose
+ends through a new crossing, in every cyclic arrangement that stays
+planar. Smoothing a crossing inverts an insertion, and every connected
+projection with more than one crossing has a crossing whose smoothing
+stays connected (a deleted vertex leaves at most two pieces because
+4-valent plane graphs are bridgeless, and one of the two smoothings then
+reconnects them). The argument never looks at over/under, so growing
+from the one-crossing projection reaches every projection. Then each
+projection is expanded: a diagram is its projection plus one over/under
+choice per crossing, so the 2^n choices on every n-crossing projection
+give every n-crossing diagram. Duplicates are removed with the canonical
+form, without parity for projections and with it for diagrams.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ def one_crossing_diagrams() -> list[PlanarDiagram]:
 
 
 # Cyclic arrangements of the four stub ends around the new crossing:
-# (tail1, head1, tail2, head2) in every distinct cyclic order, each with
-# both over/under assignments. Planarity validation discards the rest.
+# (tail1, head1, tail2, head2) in every distinct cyclic order. Planarity
+# validation discards the rest. Random growth also draws the over/under
+# assignment, as the order's one-slot rotation.
 _STUB_ORDERS = sorted({(0,) + rest for rest in permutations((1, 2, 3))})
 
 
@@ -91,7 +97,7 @@ def _valid_rows(rows: list[list[int]]) -> Rows | None:
     return tuple(tuple(r) for r in rows)
 
 
-def _canonical(rows: Rows) -> Rows:
+def _canonical(rows: Rows, keep_parity: bool = True) -> Rows:
     labels = [lab for row in rows for lab in row]
     nd = len(labels)
     pos: dict[int, int] = {}
@@ -102,15 +108,26 @@ def _canonical(rows: Rows) -> Rows:
             alpha[pos[lab]] = d
         else:
             pos[lab] = d
-    return canonical_rows(labels, alpha, len(rows))
+    return canonical_rows(labels, alpha, len(rows), keep_parity=keep_parity)
 
 
-def child_rows(diagram_rows: Rows) -> list[Rows]:
-    """Every valid one-crossing insertion into the diagram, with repeats."""
-    diagram = PlanarDiagram(diagram_rows)
+def child_rows(shadow_rows: Rows) -> list[Rows]:
+    """Every planar one-crossing insertion into the projection, with repeats.
+
+    A row and its one-slot rotation have the same projection, so each
+    cyclic stub order is tried once.
+    """
+    diagram = PlanarDiagram(shadow_rows)
     m = max(diagram.edge_labels)
-    base = [list(row) for row in diagram_rows]
+    base = [list(row) for row in shadow_rows]
     out: list[Rows] = []
+
+    def insert(rows: list[list[int]], stubs: tuple[int, int, int, int]) -> None:
+        for order in _STUB_ORDERS:
+            ok = _valid_rows(rows + [[stubs[i] for i in order]])
+            if ok is not None:
+                out.append(ok)
+
     # Two cut edges on a common face.
     for face in diagram.faces:
         walk = face.darts
@@ -125,36 +142,48 @@ def child_rows(diagram_rows: Rows) -> list[Rows]:
                 rows[au >> 2][au & 3] = m + 2    # head1
                 rows[v >> 2][v & 3] = m + 3      # tail2
                 rows[av >> 2][av & 3] = m + 4    # head2
-                for row in _row_candidates((m + 1, m + 2, m + 3, m + 4)):
-                    ok = _valid_rows(rows + [list(row)])
-                    if ok is not None:
-                        out.append(ok)
+                insert(rows, (m + 1, m + 2, m + 3, m + 4))
     # One cut edge: a kink, whose loop is the fresh edge m+3.
     for lab, (d, ad) in diagram.edge_darts.items():
         rows = [r[:] for r in base]
         rows[d >> 2][d & 3] = m + 1
         rows[ad >> 2][ad & 3] = m + 2
-        for row in _row_candidates((m + 1, m + 2, m + 3, m + 3)):
-            ok = _valid_rows(rows + [list(row)])
-            if ok is not None:
-                out.append(ok)
+        insert(rows, (m + 1, m + 2, m + 3, m + 3))
     return out
+
+
+def _shadow_levels(max_crossings: int):
+    """Yield the canonical projections with 1, 2, ..., max_crossings
+    crossings, one set per crossing count."""
+    level = {_canonical(((1, 1, 2, 2),), keep_parity=False)}
+    for n in range(1, max_crossings + 1):
+        if n > 1:
+            level = {
+                _canonical(child, keep_parity=False)
+                for rows in level
+                for child in child_rows(rows)
+            }
+        yield level
+
+
+def _over_under_choices(shadow: Rows) -> set[Rows]:
+    """Canonical rows of every diagram on the projection: crossing c's row
+    turns by one slot, swapping its over- and under-strand, when bit c of
+    the choice is set."""
+    turned = [row[1:] + row[:1] for row in shadow]
+    n = len(shadow)
+    return {
+        _canonical(tuple(turned[c] if mask >> c & 1 else shadow[c] for c in range(n)))
+        for mask in range(1 << n)
+    }
 
 
 def exhaustive(max_crossings: int) -> list[PlanarDiagram]:
     """All connected diagrams with 1..max_crossings crossings, one per
     isomorphism class, in canonical form, deterministically ordered."""
-    if max_crossings < 1:
-        return []
     out: list[PlanarDiagram] = []
-    level = {_canonical(d.crossings) for d in one_crossing_diagrams()}
-    out.extend(PlanarDiagram.from_rows(rows) for rows in sorted(level))
-    for _ in range(1, max_crossings):
-        nxt: set[Rows] = set()
-        for rows in level:
-            for child in child_rows(rows):
-                nxt.add(_canonical(child))
-        level = nxt
+    for shadows in _shadow_levels(max_crossings):
+        level = set().union(*map(_over_under_choices, shadows))
         out.extend(PlanarDiagram.from_rows(rows) for rows in sorted(level))
     return out
 

@@ -153,3 +153,53 @@ def brute_force_all_diagrams(n: int):
             continue
         found.add(pdcore.canonical_encoding(d))
     return found
+
+
+def exhaustive_by_insertion(max_crossings: int):
+    """Canonical rows of every connected diagram with 1..max_crossings
+    crossings, grown one crossing at a time with the over/under choice made
+    at each insertion.
+
+    The reference for ``corpus.exhaustive``, which grows projections and
+    chooses the crossings at the end: here each insertion tries all 12
+    stub arrangements (6 cyclic orders, each in both slot rotations) and
+    every survivor is canonicalized. Levels are sorted, as in the corpus.
+    """
+    from turaev import corpus
+    from turaev.pdcore import PlanarDiagram, canonical_encoding
+
+    def children(rows):
+        diagram = PlanarDiagram(rows)
+        m = max(diagram.edge_labels)
+        base = [list(row) for row in rows]
+        cuts = [
+            (face.darts[i], face.darts[j], (m + 1, m + 2, m + 3, m + 4))
+            for face in diagram.faces
+            for i in range(face.degree)
+            for j in range(i + 1, face.degree)
+            if diagram.label(face.darts[i]) != diagram.label(face.darts[j])
+        ]
+        cuts += [(d, None, (m + 1, m + 2, m + 3, m + 3)) for d, _ in diagram.edge_darts.values()]
+        for u, v, stubs in cuts:
+            new = [r[:] for r in base]
+            for k, d in enumerate((u, v)):
+                if d is not None:
+                    a = diagram.alpha[d]
+                    new[d >> 2][d & 3] = m + 1 + 2 * k
+                    new[a >> 2][a & 3] = m + 2 + 2 * k
+            for row in corpus._row_candidates(stubs):
+                ok = corpus._valid_rows(new + [list(row)])
+                if ok is not None:
+                    yield ok
+
+    out = []
+    level = {canonical_encoding(d) for d in corpus.one_crossing_diagrams()}
+    for n in range(1, max_crossings + 1):
+        if n > 1:
+            level = {
+                canonical_encoding(PlanarDiagram(child))
+                for rows in level
+                for child in children(rows)
+            }
+        out.extend(sorted(level))
+    return out

@@ -4,10 +4,16 @@ from pathlib import Path
 import pytest
 
 from turaev import cli, corpus, fixtures, render
-from turaev.pdcore import PlanarDiagram, canonical_encoding, parse_pd
+from turaev.pdcore import DiagramError, PlanarDiagram, Refused, canonical_encoding, parse_pd
 from turaev.tangles import decompose
 
 import oracles
+
+
+@pytest.fixture(scope="module")
+def insertion_rows():
+    """The reference enumeration up to 5 crossings (about 8 s)."""
+    return oracles.exhaustive_by_insertion(5)
 
 
 class TestEnumeration:
@@ -19,6 +25,21 @@ class TestEnumeration:
         brute = oracles.brute_force_all_diagrams(n)
         assert ours == brute
         assert len(ours) == expected
+
+    def test_matches_insertion_oracle(self, insertion_rows):
+        for k in range(1, 6):
+            ours = [d.crossings for d in corpus.exhaustive(k)]
+            assert ours == [rows for rows in insertion_rows if len(rows) <= k]
+
+    def test_shadow_levels_match_oracle(self, insertion_rows):
+        from turaev.pdcore import shadow_encoding
+
+        levels = list(corpus._shadow_levels(4))
+        assert [len(level) for level in levels] == [1, 3, 7, 33]
+        for n, level in enumerate(levels, start=1):
+            assert level == {
+                shadow_encoding(PlanarDiagram(rows)) for rows in insertion_rows if len(rows) == n
+            }
 
     def test_canonical_and_sorted(self):
         diagrams = corpus.exhaustive(3)
@@ -193,11 +214,39 @@ class TestCliCorpus:
             assert entry["c"] == d.n
             assert (out / entry["file"]).exists()
 
-    def test_empty_corpus(self, capsys, tmp_path):
+    def test_max_crossings_below_one_rejected(self, capsys, tmp_path):
         out = tmp_path / "c0"
-        code, _, _ = run_cli(capsys, "corpus", "--out", str(out), "--max-crossings", "0")
-        assert code == 0
-        assert (out / "manifest.jsonl").read_text() == "\n"
+        for value in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["corpus", "--out", str(out), "--max-crossings", value])
+            assert exc.value.code == 2
+            assert "--max-crossings" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _answer_or_raise(text: str) -> dict:
+    """A batch worker that fails on "fail", refuses "refuse" and answers
+    anything else; module level so that a process pool can pickle it."""
+    if text == "fail":
+        raise DiagramError("broken input")
+    if text == "refuse":
+        raise Refused("outside the contract")
+    return {"length": len(text)}
+
+
+class TestCliBatch:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_bad_file_keeps_the_batch(self, fixture_file, jobs):
+        texts = ["ok", "fail", "refuse", "fine"]
+        paths = [fixture_file(f"{k}.txt", t) for k, t in enumerate(texts)]
+        results = cli._map_files(paths, _answer_or_raise, jobs)
+        assert [p for p, _ in results] == paths
+        assert [data for _, data in results] == [
+            {"length": 2},
+            {"error": "broken input"},
+            {"refused": "outside the contract"},
+            {"length": 4},
+        ]
 
 
 class TestCliCheck:
