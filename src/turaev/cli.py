@@ -26,7 +26,6 @@ from .pdcore import (
     DiagramError,
     PlanarDiagram,
     Refused,
-    canonical_code,
     composite_circles,
     is_alternating,
     is_prime,
@@ -220,7 +219,7 @@ def _cmd_reduce(args) -> int:
 
 def _corpus_entry(d: PlanarDiagram) -> dict:
     entry = states.diagram_report(d)
-    entry["pd"] = canonical_code(d)
+    entry["pd"] = d.to_pd_text()  # corpus diagrams are in canonical form
     entry["prime"] = is_prime(d)
     entry["alternating"] = is_alternating(d)
     return entry
@@ -261,7 +260,9 @@ def _cmd_corpus(args) -> int:
     diagram_dir.mkdir(exist_ok=True)
     lines = []
     violations = []
-    for k, d in enumerate(diagrams):
+    for k in range(len(diagrams)):
+        # Drop each diagram, and the facts it cached, once its entry is made.
+        d, diagrams[k] = diagrams[k], None
         entry = _corpus_entry(d)
         if args.verify:
             problem = _verify_entry(d, entry)

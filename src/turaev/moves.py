@@ -24,9 +24,9 @@ from .pdcore import (
     Refused,
     composite_circles,
     is_alternating,
-    switch_crossing,
+    non_alternating_edges,
 )
-from .states import INADEQUATE, all_a, all_b, loop_crossings, state_circles, turaev_genus
+from .states import INADEQUATE, loop_crossings, turaev_genus
 from .tangles import RingPayload, assemble_ring, classify_genus_one, decompose
 from . import surgery
 
@@ -280,6 +280,7 @@ def rii_cancel(cycle: CycleOfTangles) -> CycleOfTangles:
         pairs = [(run[k], run[k + 1]) for k in range(len(run) - 1)]
         if len(run) == current.n and len(run) > 1:
             pairs.append((run[-1], run[0]))
+        before = current.reconstruct()
         for i, j in pairs:
             if (i + 1) % current.n != j:
                 continue
@@ -300,7 +301,6 @@ def rii_cancel(cycle: CycleOfTangles) -> CycleOfTangles:
             candidate = CycleOfTangles(
                 candidate_units, tuple(remap[k] for k in run if k not in (i, j))
             )
-            before = current.reconstruct()
             after = candidate.reconstruct()
             if turaev_genus(after) != turaev_genus(before):
                 continue
@@ -313,15 +313,18 @@ def rii_cancel(cycle: CycleOfTangles) -> CycleOfTangles:
 
 
 def is_almost_alternating(diagram: PlanarDiagram) -> bool:
-    """True when one over/under switch makes every edge alternating."""
+    """True when one over/under switch makes every edge alternating.
+
+    Switching crossing c flips the alternation of exactly the edges with
+    one end at c (a kink's edge, with both ends there, keeps it), so the
+    switch works when those edges are the non-alternating ones.
+    """
     if not diagram.is_connected:
         raise DiagramError("defined for connected diagrams")
-    if is_alternating(diagram):
+    bad = set(non_alternating_edges(diagram))
+    if not bad:
         raise Refused("diagram is already alternating")
-    for c in range(diagram.n):
-        if is_alternating(switch_crossing(diagram, c)):
-            return True
-    return False
+    return any({lab for lab in row if row.count(lab) == 1} == bad for row in diagram.crossings)
 
 
 def almost_alternating_form(
@@ -374,8 +377,8 @@ def almost_alternating_form(
     cycle, run = _collect_run(cycle, set(loop_units), note)
     cycle = CycleOfTangles(cycle.units, tuple(run))
     cycle = rii_cancel(cycle)
-    note("twist-cancelled", cycle.reconstruct())
     result = cycle.reconstruct()
+    note("twist-cancelled", result)
     result = _certify(result, result)
     note("certified", result)
     return result
@@ -452,16 +455,15 @@ def core_arc(diagram: PlanarDiagram, c: int) -> surgery.CuttingArc | None:
     """
     report = loop_crossings(diagram)
     if c in report.a_loops:
-        state = all_a(diagram)
+        circles = diagram.a_circles
         corner_pairs = ((1, 2), (3, 0))
         own_corner = 0
     elif c in report.b_loops:
-        state = all_b(diagram)
+        circles = diagram.b_circles
         corner_pairs = ((0, 1), (2, 3))
         own_corner = 1
     else:
         raise DiagramError(f"crossing {c} is not a loop crossing")
-    circles = state_circles(diagram, state)
     loop_circle = circles.circle_of_corner[(c, own_corner)]
     # Sub-arc lengths between the two visits along the loop circle.
     circ = circles.circles[loop_circle]
@@ -508,8 +510,8 @@ def core_arc(diagram: PlanarDiagram, c: int) -> surgery.CuttingArc | None:
             return arc
     # Not a cutting arc in the strict sense (an endpoint edge alternates);
     # report the raw arc data with circle ids of the shared circles.
-    sa = state_circles(diagram, all_a(diagram)).circle_of_edge(diagram)
-    sb = state_circles(diagram, all_b(diagram)).circle_of_edge(diagram)
+    sa = diagram.a_circles.circle_of_edge(diagram)
+    sb = diagram.b_circles.circle_of_edge(diagram)
     if sa[e1] != sa[e2] or sb[e1] != sb[e2]:
         raise DiagramError("surgery arc does not share its state circles")
     return surgery.CuttingArc(face, (pos[0], pos[1]), (e1, e2), sa[e1], sb[e1])

@@ -21,9 +21,13 @@ sits at the corner of that face between slots ``s - 1`` and ``s`` of ``c``.
 A diagram is accepted as planar when every edge label occurs twice, the
 4-valent graph is connected, and V - E + F = 2 for the traced faces.
 
+``RotationSystem`` computes these once per diagram and keeps them;
+``PlanarDiagram`` adds the planar facts (state circles, Turaev genus,
+coloring, signs, composite circles) the same way.
+
 Text format: whitespace-separated terms ``X[a,b,c,d]`` with positive
 integer edge labels; the order of terms is the crossing index. JSON mirror:
-``{"crossings": [[a,b,c,d], ...]}``.
+``{"crossings": [[a,b,c,d], ...]}`` with JSON integer labels.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import combinations
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 BLACK = "black"
 WHITE = "white"
@@ -91,7 +97,7 @@ class Face:
         """(crossing, corner) incidences; corner k spans slots k, k+1."""
         return tuple((crossing_of(d), (slot_of(d) - 1) % 4) for d in self.darts)
 
-    def edges(self, diagram: "PlanarDiagram") -> tuple[int, ...]:
+    def edges(self, diagram: "RotationSystem") -> tuple[int, ...]:
         return tuple(diagram.edge_of_dart(d) for d in self.darts)
 
 
@@ -119,23 +125,43 @@ class CompositeCircle:
     sides: tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def _crossing_classes(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Union-find over crossings 0..n-1: the classes joined by the linked
+    pairs, each ascending, in sorted order."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+    groups: dict[int, list[int]] = {}
+    for c in range(n):
+        groups.setdefault(find(c), []).append(c)
+    return sorted(groups.values())
+
+
 @dataclass(frozen=True)
-class PlanarDiagram:
-    """An immutable planar link diagram.
+class RotationSystem:
+    """The rotation system shared by planar and surface diagrams.
 
     ``crossings[i]`` is the 4-tuple of edge labels at crossing i, in
-    counterclockwise slot order, slots 0/2 under and 1/3 over.
+    counterclockwise slot order, slots 0/2 under and 1/3 over. Every
+    derived fact is computed on first use and kept; cached values are
+    tuples, frozen dataclasses or read-only mappings. Subclasses differ in
+    ``validate``: the Euler condition their embedding must meet.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
 
-    @staticmethod
-    def from_rows(rows: Iterable[Sequence[int]], *, allow_disconnected: bool = False) -> "PlanarDiagram":
-        d = PlanarDiagram(tuple(tuple(int(x) for x in row) for row in rows))
-        d.validate(allow_disconnected=allow_disconnected)
-        return d
-
-    # -- basic queries ----------------------------------------------------
+    def __reduce__(self):
+        # Pickle the crossings only; the caches are rebuilt on demand.
+        return (type(self), (self.crossings,))
 
     @property
     def n(self) -> int:
@@ -145,6 +171,10 @@ class PlanarDiagram:
     @property
     def n_darts(self) -> int:
         return 4 * len(self.crossings)
+
+    @property
+    def n_edges(self) -> int:
+        return 2 * len(self.crossings)
 
     def label(self, d: int) -> int:
         return self.crossings[d >> 2][d & 3]
@@ -170,18 +200,18 @@ class PlanarDiagram:
         return tuple(sorted({self.label(d) for d in range(self.n_darts)}))
 
     @cached_property
-    def edge_darts(self) -> dict[int, tuple[int, int]]:
+    def edge_darts(self) -> Mapping[int, tuple[int, int]]:
         """label -> (smaller dart, larger dart)."""
-        out: dict[int, tuple[int, int]] = {}
-        for d in range(self.n_darts):
-            a = self.alpha[d]
-            if d < a:
-                out[self.label(d)] = (d, a)
-        return out
+        alpha = self.alpha
+        return MappingProxyType(
+            {self.label(d): (d, alpha[d]) for d in range(self.n_darts) if d < alpha[d]}
+        )
 
-    @property
-    def n_edges(self) -> int:
-        return 2 * len(self.crossings)
+    @cached_property
+    def alternation(self) -> Mapping[int, bool]:
+        """label -> True for alternating edges: one end an underpass, the
+        other an overpass, i.e. the two slots differ in parity."""
+        return MappingProxyType({lab: bool((d1 ^ d2) & 1) for lab, (d1, d2) in self.edge_darts.items()})
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
@@ -213,32 +243,34 @@ class PlanarDiagram:
         return self.face_of_dart[dart(crossing, (corner + 1) % 4)]
 
     @cached_property
+    def face_pair_edges(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
+        """(f1, f2) with f1 < f2 -> the labels, ascending, of the edges
+        between those two faces, for the face pairs sharing two or more
+        edges, in sorted order. A loop through both faces crossing two of
+        the edges meets the diagram exactly there."""
+        fod = self.face_of_dart
+        shared: dict[tuple[int, int], list[int]] = {}
+        for lab, (d1, d2) in self.edge_darts.items():
+            f1, f2 = fod[d1], fod[d2]
+            if f1 != f2:
+                shared.setdefault((f1, f2) if f1 < f2 else (f2, f1), []).append(lab)
+        return MappingProxyType(
+            {pair: tuple(sorted(labs)) for pair, labs in sorted(shared.items()) if len(labs) > 1}
+        )
+
+    @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the 4-valent graph, as crossing sets."""
-        if not self.crossings:
-            return ()
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for d in range(self.n_darts):
-            a, b = find(d >> 2), find(self.alpha[d] >> 2)
-            if a != b:
-                parent[a] = b
-        groups: dict[int, list[int]] = {}
-        for c in range(self.n):
-            groups.setdefault(find(c), []).append(c)
-        return tuple(tuple(g) for g in sorted(groups.values()))
+        alpha = self.alpha
+        links = ((d >> 2, alpha[d] >> 2) for d in range(self.n_darts))
+        return tuple(tuple(g) for g in _crossing_classes(self.n, links))
 
     @property
     def is_connected(self) -> bool:
         return len(self.components) <= 1
 
-    def validate(self, *, allow_disconnected: bool = False) -> None:
+    def _validate_graph(self, *, allow_disconnected: bool) -> None:
+        """Checks every rotation system must pass before its Euler test."""
         if not self.crossings:
             raise DiagramError("diagram has no crossings")
         for row in self.crossings:
@@ -247,22 +279,73 @@ class PlanarDiagram:
         self.alpha  # label multiplicity
         if not allow_disconnected and not self.is_connected:
             raise DiagramError("underlying 4-valent graph is disconnected")
+
+
+@dataclass(frozen=True)
+class PlanarDiagram(RotationSystem):
+    """An immutable planar link diagram.
+
+    Besides the rotation-system facts it caches the all-A and all-B state
+    circles, the Turaev genus, the default checkerboard coloring, the
+    crossing signs and the composite circles.
+    """
+
+    @staticmethod
+    def from_rows(rows: Iterable[Sequence[int]], *, allow_disconnected: bool = False) -> "PlanarDiagram":
+        d = PlanarDiagram(tuple(tuple(int(x) for x in row) for row in rows))
+        d.validate(allow_disconnected=allow_disconnected)
+        return d
+
+    def validate(self, *, allow_disconnected: bool = False) -> None:
+        self._validate_graph(allow_disconnected=allow_disconnected)
         # Euler test per component: V - E + F = 2 exactly on the sphere.
-        face_comp: dict[int, int] = {}
-        comp_of = {}
-        for i, comp in enumerate(self.components):
-            for c in comp:
-                comp_of[c] = i
+        comp_of = {c: i for i, comp in enumerate(self.components) for c in comp}
+        fcount = [0] * len(self.components)
         for f in self.faces:
-            face_comp[f.id] = comp_of[f.darts[0] >> 2]
+            fcount[comp_of[f.darts[0] >> 2]] += 1
         for i, comp in enumerate(self.components):
-            v = len(comp)
-            e = 2 * v
-            fcount = sum(1 for f in self.faces if face_comp[f.id] == i)
-            if v - e + fcount != 2:
-                raise DiagramError(
-                    f"rotation system is not planar: V-E+F = {v - e + fcount} on component {i}"
-                )
+            chi = len(comp) - 2 * len(comp) + fcount[i]
+            if chi != 2:
+                raise DiagramError(f"rotation system is not planar: V-E+F = {chi} on component {i}")
+
+    @cached_property
+    def a_circles(self):
+        """The all-A state circles (``states.StateCircles``)."""
+        from . import states
+
+        return states.state_circles(self, ("A",) * self.n)
+
+    @cached_property
+    def b_circles(self):
+        """The all-B state circles (``states.StateCircles``)."""
+        from . import states
+
+        return states.state_circles(self, ("B",) * self.n)
+
+    @cached_property
+    def genus(self) -> int:
+        """Turaev genus (c + 2 - |s_A| - |s_B|) / 2 of a connected diagram."""
+        if not self.is_connected:
+            raise DiagramError("Turaev genus is defined for connected diagrams")
+        na, nb = self.a_circles.n, self.b_circles.n
+        num = self.n + 2 - na - nb
+        if num < 0 or num % 2:
+            raise DiagramError(f"impossible circle counts |s_A|={na} |s_B|={nb}")
+        return num // 2
+
+    @cached_property
+    def coloring(self) -> "Coloring":
+        """Checkerboard coloring with the face at corner 0 of crossing 0 black."""
+        return _two_color(self, self.face_at_corner(0, 0))
+
+    @cached_property
+    def signs(self) -> Mapping[int, int]:
+        """crossing -> sign relative to the default coloring."""
+        return MappingProxyType(_signs(self, self.coloring))
+
+    @cached_property
+    def composite_circles(self) -> tuple[CompositeCircle, ...]:
+        return _composite_circles(self)
 
     # -- serialization ----------------------------------------------------
 
@@ -279,13 +362,23 @@ class PlanarDiagram:
 _TERM_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
 
 
-def parse_pd(text: str, *, allow_disconnected: bool = False) -> PlanarDiagram:
-    """Parse PD text ``X[a,b,c,d] ...`` into a validated diagram."""
+def read_rows(text: str) -> list[tuple[int, ...]]:
+    """Crossing rows of PD text ``X[a,b,c,d] ...`` or of its JSON mirror."""
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty PD text")
     if stripped.startswith("{"):
-        return parse_json(stripped, allow_disconnected=allow_disconnected)
+        try:
+            data = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc}") from exc
+        rows = data.get("crossings") if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ParseError('JSON diagram must be {"crossings": [[a,b,c,d], ...]}')
+        for row in rows:
+            if not all(type(x) is int for x in row):
+                raise ParseError(f"crossing {row!r} has a label that is not an integer")
+        return [tuple(row) for row in rows]
     rows = []
     pos = 0
     for m in _TERM_RE.finditer(stripped):
@@ -297,23 +390,20 @@ def parse_pd(text: str, *, allow_disconnected: bool = False) -> PlanarDiagram:
         raise ParseError(f"unexpected text {stripped[pos:].strip()!r} in PD code")
     if not rows:
         raise ParseError("no X[a,b,c,d] terms found")
-    return PlanarDiagram.from_rows(rows, allow_disconnected=allow_disconnected)
+    return rows
 
 
-def parse_json(text: str, *, allow_disconnected: bool = False) -> PlanarDiagram:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
-    if not isinstance(data, dict) or "crossings" not in data:
-        raise ParseError('JSON diagram must be {"crossings": [[a,b,c,d], ...]}')
-    return PlanarDiagram.from_rows(data["crossings"], allow_disconnected=allow_disconnected)
+def parse_pd(text: str, *, allow_disconnected: bool = False) -> PlanarDiagram:
+    """Parse PD text ``X[a,b,c,d] ...`` or its JSON mirror into a validated diagram."""
+    return PlanarDiagram.from_rows(read_rows(text), allow_disconnected=allow_disconnected)
 
 
 # -- interrogation ---------------------------------------------------------
+# The readers of a cached fact take the diagram alone; passing an anchor or
+# a coloring computes a fresh value.
 
 
-def faces(diagram: PlanarDiagram) -> tuple[Face, ...]:
+def faces(diagram: RotationSystem) -> tuple[Face, ...]:
     return diagram.faces
 
 
@@ -324,6 +414,10 @@ def checkerboard(diagram: PlanarDiagram, *, black_face: int | None = None) -> Co
     is black, which makes the coloring deterministic. Pass ``black_face``
     to re-anchor.
     """
+    return diagram.coloring if black_face is None else _two_color(diagram, black_face)
+
+
+def _two_color(diagram: PlanarDiagram, anchor: int) -> Coloring:
     nf = len(diagram.faces)
     colors: list[str | None] = [None] * nf
     adjacency: list[set[int]] = [set() for _ in range(nf)]
@@ -333,7 +427,6 @@ def checkerboard(diagram: PlanarDiagram, *, black_face: int | None = None) -> Co
             raise DiagramError(f"edge {lab} has the same face on both sides")
         adjacency[f1].add(f2)
         adjacency[f2].add(f1)
-    anchor = diagram.face_at_corner(0, 0) if black_face is None else black_face
     colors[anchor] = BLACK
     stack = [anchor]
     while stack:
@@ -350,33 +443,32 @@ def checkerboard(diagram: PlanarDiagram, *, black_face: int | None = None) -> Co
     return Coloring(tuple(colors))  # type: ignore[arg-type]
 
 
-def edge_alternation(diagram: PlanarDiagram) -> dict[int, bool]:
+def edge_alternation(diagram: RotationSystem) -> Mapping[int, bool]:
     """True for alternating edges: one end an underpass, the other an overpass.
 
     Equivalently, the two slot occurrences have different slot parity.
     """
-    out = {}
-    for lab, (d1, d2) in diagram.edge_darts.items():
-        out[lab] = (slot_of(d1) & 1) != (slot_of(d2) & 1)
-    return out
+    return diagram.alternation
 
 
-def non_alternating_edges(diagram: PlanarDiagram) -> tuple[int, ...]:
-    alt = edge_alternation(diagram)
-    return tuple(sorted(lab for lab, is_alt in alt.items() if not is_alt))
+def non_alternating_edges(diagram: RotationSystem) -> tuple[int, ...]:
+    return tuple(sorted(lab for lab, is_alt in diagram.alternation.items() if not is_alt))
 
 
-def is_alternating(diagram: PlanarDiagram) -> bool:
-    return not non_alternating_edges(diagram)
+def is_alternating(diagram: RotationSystem) -> bool:
+    return all(diagram.alternation.values())
 
 
-def crossing_signs(diagram: PlanarDiagram, coloring: Coloring | None = None) -> dict[int, int]:
+def crossing_signs(diagram: PlanarDiagram, coloring: Coloring | None = None) -> Mapping[int, int]:
     """Sign of each crossing relative to the checkerboard coloring.
 
     A crossing is +1 exactly when its two corners at slots (0,1) and (2,3)
     lie in black faces. Swapping the coloring anchor negates every sign.
     """
-    coloring = coloring or checkerboard(diagram)
+    return diagram.signs if coloring is None else _signs(diagram, coloring)
+
+
+def _signs(diagram: PlanarDiagram, coloring: Coloring) -> dict[int, int]:
     out = {}
     for c in range(diagram.n):
         f0 = diagram.face_at_corner(c, 0)
@@ -411,25 +503,18 @@ def composite_circles(diagram: PlanarDiagram) -> tuple[CompositeCircle, ...]:
     edge) is searched too, but a 4-valent graph has no bridges, so it
     cannot separate.
     """
+    return diagram.composite_circles
+
+
+def _composite_circles(diagram: PlanarDiagram) -> tuple[CompositeCircle, ...]:
     if not diagram.is_connected:
         raise DiagramError("composite circles are defined for connected diagrams")
-    shared: dict[tuple[int, int], list[int]] = {}
-    for lab, (d1, d2) in diagram.edge_darts.items():
-        f1, f2 = diagram.face_of_dart[d1], diagram.face_of_dart[d2]
-        if f1 == f2:
-            # Bridge edge; cutting it twice never separates the crossings.
-            continue
-        shared.setdefault((min(f1, f2), max(f1, f2)), []).append(lab)
     out = []
-    for (f1, f2), labs in sorted(shared.items()):
-        if len(labs) < 2:
-            continue
-        labs.sort()
-        for i in range(len(labs)):
-            for j in range(i + 1, len(labs)):
-                sides = _cut_sides(diagram, labs[i], labs[j])
-                if sides is not None:
-                    out.append(CompositeCircle((labs[i], labs[j]), (f1, f2), sides))
+    for faces, labs in diagram.face_pair_edges.items():
+        for e1, e2 in combinations(labs, 2):
+            sides = _cut_sides(diagram, e1, e2)
+            if sides is not None:
+                out.append(CompositeCircle((e1, e2), faces, sides))
     out.sort(key=lambda cc: cc.edges)
     return tuple(out)
 
@@ -438,31 +523,16 @@ def _cut_sides(
     diagram: PlanarDiagram, e1: int, e2: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Crossing partition from deleting edges e1, e2, or None if connected."""
-    parent = list(range(diagram.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for lab, (d1, d2) in diagram.edge_darts.items():
-        if lab in (e1, e2):
-            continue
-        a, b = find(d1 >> 2), find(d2 >> 2)
-        if a != b:
-            parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for c in range(diagram.n):
-        groups.setdefault(find(c), []).append(c)
+    links = ((d1 >> 2, d2 >> 2) for lab, (d1, d2) in diagram.edge_darts.items() if lab not in (e1, e2))
+    groups = _crossing_classes(diagram.n, links)
     if len(groups) != 2:
         return None
-    side1, side2 = sorted(groups.values())
+    side1, side2 = groups
     return tuple(side1), tuple(side2)
 
 
 def is_prime(diagram: PlanarDiagram) -> bool:
-    return not composite_circles(diagram)
+    return not diagram.composite_circles
 
 
 # -- canonical form --------------------------------------------------------

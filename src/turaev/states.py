@@ -140,14 +140,7 @@ def state_circles(diagram: PlanarDiagram, state: Sequence[str]) -> StateCircles:
 
 def turaev_genus(diagram: PlanarDiagram) -> int:
     """(c + 2 - |s_A| - |s_B|) / 2 for a connected diagram."""
-    if not diagram.is_connected:
-        raise DiagramError("Turaev genus is defined for connected diagrams")
-    na = state_circles(diagram, all_a(diagram)).n
-    nb = state_circles(diagram, all_b(diagram)).n
-    num = diagram.n + 2 - na - nb
-    if num < 0 or num % 2:
-        raise DiagramError(f"impossible circle counts |s_A|={na} |s_B|={nb}")
-    return num // 2
+    return diagram.genus
 
 
 @dataclass(frozen=True)
@@ -190,8 +183,7 @@ class TuraevCellComplex:
 def build_turaev_complex(diagram: PlanarDiagram) -> TuraevCellComplex:
     if not diagram.is_connected:
         raise DiagramError("the Turaev surface is built for connected diagrams")
-    sa = state_circles(diagram, all_a(diagram))
-    sb = state_circles(diagram, all_b(diagram))
+    sa, sb = diagram.a_circles, diagram.b_circles
     # Dart used by the traced direction of each circle, per edge.
     a_dir: dict[int, tuple[int, int]] = {}
     for circ in sa.circles:
@@ -235,8 +227,7 @@ def build_turaev_complex(diagram: PlanarDiagram) -> TuraevCellComplex:
                     raise DiagramError("cell complex is not orientable")
     orientations = tuple(1 if f == 0 else -1 for f in flips)  # type: ignore[arg-type]
     complex_ = TuraevCellComplex(diagram, sa, sb, orientations)
-    g = turaev_genus(diagram)
-    if complex_.euler != 2 - 2 * g:
+    if complex_.euler != 2 - 2 * diagram.genus:
         raise DiagramError("Euler characteristic disagrees with the genus formula")
     return complex_
 
@@ -271,18 +262,15 @@ class AdequacyReport:
 
 def loop_crossings(diagram: PlanarDiagram) -> AdequacyReport:
     """Crossings whose two same-state corners land on one state circle."""
-    sa = state_circles(diagram, all_a(diagram))
-    sb = state_circles(diagram, all_b(diagram))
-    amap = sa.circle_of_corner
-    bmap = sb.circle_of_corner
+    amap = diagram.a_circles.circle_of_corner
+    bmap = diagram.b_circles.circle_of_corner
     a_loops = tuple(c for c in range(diagram.n) if amap[(c, 0)] == amap[(c, 2)])
     b_loops = tuple(c for c in range(diagram.n) if bmap[(c, 1)] == bmap[(c, 3)])
     return AdequacyReport(a_loops, b_loops)
 
 
 def diagram_report(diagram: PlanarDiagram) -> dict:
-    sa = state_circles(diagram, all_a(diagram))
-    sb = state_circles(diagram, all_b(diagram))
+    sa, sb = diagram.a_circles, diagram.b_circles
     adequacy = loop_crossings(diagram)
     return {
         "c": diagram.n,

@@ -1,9 +1,10 @@
 # -*- coding: utf-8 -*-
 """Link diagrams on closed orientable surfaces via rotation systems.
 
-A surface diagram reuses the planar PD structure but drops the planarity
-invariant; the faces traced from the rotation system are the complementary
-discs of a cellular embedding and the genus is (2 - V + E - F) / 2.
+A surface diagram is a rotation system like a planar one (the shared
+``pdcore.RotationSystem``) but drops the planarity invariant; the faces
+traced from the rotation system are the complementary discs of a
+cellular embedding and the genus is (2 - V + E - F) / 2.
 
 Simple loops avoiding the crossings correspond to cycles in the dual
 graph (faces as nodes, one dual edge per diagram edge); their number of
@@ -19,17 +20,23 @@ cannot arise that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import combinations
 
-from .pdcore import DiagramError, Face, PlanarDiagram, Refused
+from .pdcore import (
+    DiagramError,
+    ParseError,
+    PlanarDiagram,
+    Refused,
+    RotationSystem,
+    is_alternating,
+    read_rows,
+)
 from .states import TuraevCellComplex
 
 
 @dataclass(frozen=True)
-class SurfaceDiagram:
+class SurfaceDiagram(RotationSystem):
     """A diagram cellularly embedded in a closed orientable surface."""
-
-    crossings: tuple[tuple[int, int, int, int], ...]
 
     @staticmethod
     def from_rows(rows) -> "SurfaceDiagram":
@@ -41,52 +48,8 @@ class SurfaceDiagram:
     def from_planar(diagram: PlanarDiagram) -> "SurfaceDiagram":
         return SurfaceDiagram.from_rows(diagram.crossings)
 
-    # The combinatorics is shared with PlanarDiagram through a borrowed
-    # carrier; only the Euler test differs.
-    @cached_property
-    def _carrier(self) -> PlanarDiagram:
-        return PlanarDiagram(self.crossings)
-
-    @property
-    def n(self) -> int:
-        return len(self.crossings)
-
-    @property
-    def n_darts(self) -> int:
-        return 4 * self.n
-
-    def label(self, d: int) -> int:
-        return self.crossings[d >> 2][d & 3]
-
-    @property
-    def alpha(self):
-        return self._carrier.alpha
-
-    @property
-    def faces(self) -> tuple[Face, ...]:
-        return self._carrier.faces
-
-    @property
-    def face_of_dart(self):
-        return self._carrier.face_of_dart
-
-    @property
-    def edge_darts(self):
-        return self._carrier.edge_darts
-
-    @property
-    def edge_labels(self):
-        return self._carrier.edge_labels
-
     def validate(self) -> None:
-        if not self.crossings:
-            raise DiagramError("diagram has no crossings")
-        for row in self.crossings:
-            if len(row) != 4:
-                raise DiagramError(f"crossing {row!r} does not have 4 slots")
-        self._carrier.alpha
-        if not self._carrier.is_connected:
-            raise DiagramError("underlying 4-valent graph is disconnected")
+        self._validate_graph(allow_disconnected=False)
         v, e, f = self.n, 2 * self.n, len(self.faces)
         if (2 - v + e - f) % 2:
             raise DiagramError("odd Euler defect; rotation system corrupted")
@@ -97,11 +60,6 @@ class SurfaceDiagram:
 
     def to_pd_text(self) -> str:
         return "genus-free: true\n" + " ".join("X[%d,%d,%d,%d]" % row for row in self.crossings)
-
-    def is_alternating(self) -> bool:
-        return all(
-            (d1 & 1) != (d2 & 1) for d1, d2 in ((a & 3, b & 3) for a, b in self.edge_darts.values())
-        )
 
 
 def surface_genus(s: SurfaceDiagram) -> int:
@@ -114,32 +72,13 @@ def parse_surface(text: str) -> SurfaceDiagram:
     The header disables the planarity requirement; the rotation system is
     read as a cellular embedding in the surface its faces determine.
     """
-    from . import pdcore
-
     stripped = text.strip()
     if stripped.lower().startswith("genus-free:"):
         first, _, rest = stripped.partition("\n")
         if first.split(":", 1)[1].strip().lower() != "true":
-            raise pdcore.ParseError("genus-free header must be 'true'")
-        stripped = rest.strip()
-    if stripped.startswith("{"):
-        import json
-
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise pdcore.ParseError(f"bad JSON: {exc}") from exc
-        return SurfaceDiagram.from_rows(data["crossings"])
-    rows = []
-    pos = 0
-    for m in pdcore._TERM_RE.finditer(stripped):
-        if stripped[pos:m.start()].strip():
-            raise pdcore.ParseError(f"unexpected text {stripped[pos:m.start()].strip()!r}")
-        rows.append(tuple(int(g) for g in m.groups()))
-        pos = m.end()
-    if stripped[pos:].strip() or not rows:
-        raise pdcore.ParseError("no X[a,b,c,d] terms found")
-    return SurfaceDiagram.from_rows(rows)
+            raise ParseError("genus-free header must be 'true'")
+        stripped = rest
+    return SurfaceDiagram.from_rows(read_rows(stripped))
 
 
 # -- mod-2 homology of the dual complex --------------------------------------
@@ -256,7 +195,7 @@ def two_intersection_loops(s: SurfaceDiagram) -> LoopReport:
     meets the diagram exactly twice: such a surface diagram cannot be the
     state surface of a prime non-alternating planar diagram.
     """
-    if not s.is_alternating():
+    if not is_alternating(s):
         raise Refused("surface diagram is not alternating")
     if s.genus == 0:
         return LoopReport(0, (), "not-applicable")
@@ -270,17 +209,10 @@ def two_intersection_loops(s: SurfaceDiagram) -> LoopReport:
             vec = 1 << idx[lab]
             loops.append(DualLoop((lab,), (f1,), vec not in span))
     # Two faces sharing two or more edges: loops crossing two of them.
-    shared: dict[tuple[int, int], list[int]] = {}
-    for lab, (d1, d2) in s.edge_darts.items():
-        f1, f2 = s.face_of_dart[d1], s.face_of_dart[d2]
-        if f1 != f2:
-            shared.setdefault((min(f1, f2), max(f1, f2)), []).append(lab)
-    for (f1, f2), labs in sorted(shared.items()):
-        labs.sort()
-        for i in range(len(labs)):
-            for j in range(i + 1, len(labs)):
-                vec = (1 << idx[labs[i]]) ^ (1 << idx[labs[j]])
-                loops.append(DualLoop((labs[i], labs[j]), (f1, f2), vec not in span))
+    for faces, labs in s.face_pair_edges.items():
+        for e1, e2 in combinations(labs, 2):
+            vec = (1 << idx[e1]) ^ (1 << idx[e2])
+            loops.append(DualLoop((e1, e2), faces, vec not in span))
     found = any(l.nontrivial and l.intersections == 2 for l in loops)
     return LoopReport(s.genus, tuple(loops), "loop-found" if found else "obstructed")
 
@@ -309,16 +241,12 @@ def is_reduced(s: SurfaceDiagram) -> bool:
     null-homologous. On the sphere the homology condition is automatic and
     this is the usual isthmus test.
     """
-    corner_faces = {}
-    for face in s.faces:
-        for (c, k) in face.corners:
-            corner_faces[(c, k)] = face.id
     idx = _edge_index(s)
     span = vertex_coboundary_span(s)
     for c in range(s.n):
         row = s.crossings[c]
         for k in (0, 1):
-            if corner_faces[(c, k)] != corner_faces[(c, k + 2)]:
+            if s.face_at_corner(c, k) != s.face_at_corner(c, k + 2):
                 continue
             for side in (
                 (1 << idx[row[(k + 1) % 4]]) ^ (1 << idx[row[(k + 2) % 4]]),
@@ -339,7 +267,7 @@ def hayashi_complexity(s: SurfaceDiagram, max_len: int | None = None) -> Hayashi
     """
     if s.genus < 1:
         raise Refused("complexity is defined for positive-genus surfaces")
-    if not s.is_alternating():
+    if not is_alternating(s):
         raise Refused("surface diagram is not alternating")
     if not is_reduced(s):
         raise Refused("surface diagram is not reduced")
@@ -476,6 +404,6 @@ def from_turaev_complex(complex_: TuraevCellComplex) -> SurfaceDiagram:
     out = SurfaceDiagram.from_rows(new_rows)
     if out.genus != complex_.genus:
         raise DiagramError("surface genus disagrees with the cell complex")
-    if not out.is_alternating():
+    if not is_alternating(out):
         raise DiagramError("re-expressed diagram is not alternating")
     return out

@@ -18,7 +18,7 @@ bigon of that kind would exhibit a composite circle. The deterministic
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .pdcore import (
     BLACK,
@@ -29,10 +29,9 @@ from .pdcore import (
     Refused,
     checkerboard,
     composite_circles,
-    edge_alternation,
     is_alternating,
 )
-from .states import all_a, all_b, state_circles, turaev_genus
+from .states import turaev_genus
 
 
 @dataclass(frozen=True)
@@ -63,63 +62,53 @@ class AttachingEdge:
 
 def find_cutting_arcs(diagram: PlanarDiagram) -> tuple[CuttingArc, ...]:
     """All cutting arcs of a prime connected non-alternating diagram."""
-    _require_surgery_input(diagram)
-    alt = edge_alternation(diagram)
-    sa = state_circles(diagram, all_a(diagram))
-    sb = state_circles(diagram, all_b(diagram))
-    a_of = sa.circle_of_edge(diagram)
-    b_of = sb.circle_of_edge(diagram)
-    out = []
-    for face in diagram.faces:
-        spots = [(i, diagram.label(d)) for i, d in enumerate(face.darts) if not alt[diagram.label(d)]]
-        for k in range(len(spots)):
-            for m in range(k + 1, len(spots)):
-                i, e1 = spots[k]
-                j, e2 = spots[m]
-                if e1 == e2:
-                    continue
-                if a_of[e1] == a_of[e2] and b_of[e1] == b_of[e2]:
-                    out.append(CuttingArc(face.id, (i, j), (e1, e2), a_of[e1], b_of[e1]))
-    out.sort(key=lambda arc: (arc.alpha_circle, arc.face, arc.positions))
-    return tuple(out)
+    arcs = [arc for _, _, arc in _face_arcs(diagram) if arc is not None]
+    return tuple(sorted(arcs, key=lambda arc: (arc.alpha_circle, arc.face, arc.positions)))
 
 
 def outermost_bigon_arc(diagram: PlanarDiagram) -> CuttingArc:
     """Deterministic cutting arc through an empty bigon.
 
     Faces with exactly two non-alternating incidences are the empty bigons
-    between an all-A and an all-B arc; among A-circles that meet the all-B
-    circles, the one with smallest id is preferred, then smallest face id
-    and positions.
+    between an all-A and an all-B arc; the one whose A-circle has the
+    smallest id is preferred, then smallest face id and positions.
     """
-    _require_surgery_input(diagram)
-    alt = edge_alternation(diagram)
-    sa = state_circles(diagram, all_a(diagram))
-    sb = state_circles(diagram, all_b(diagram))
-    a_of = sa.circle_of_edge(diagram)
-    b_of = sb.circle_of_edge(diagram)
     candidates = []
-    for face in diagram.faces:
-        spots = [(i, diagram.label(d)) for i, d in enumerate(face.darts) if not alt[diagram.label(d)]]
-        if len(spots) != 2:
+    for face_id, spots, arc in _face_arcs(diagram):
+        if spots != 2:
             continue
-        (i, e1), (j, e2) = spots
-        if e1 == e2:
-            continue
-        if a_of[e1] != a_of[e2] or b_of[e1] != b_of[e2]:
+        if arc is None:
             # The hugging arcs of a two-incidence face always share their
             # circles; anything else indicates corrupted input.
-            raise DiagramError(f"bigon face {face.id} has mismatched state circles")
-        candidates.append(CuttingArc(face.id, (i, j), (e1, e2), a_of[e1], b_of[e1]))
+            raise DiagramError(f"bigon face {face_id} has mismatched state circles")
+        candidates.append(arc)
     if not candidates:
         raise DiagramError(
             "no empty bigon face found; a prime connected non-alternating "
             "diagram always has one, so the input is corrupted"
         )
-    meeting = {a_of[lab] for lab, is_alt in alt.items() if not is_alt}
-    wanted = min(meeting)
-    preferred = [c for c in candidates if c.alpha_circle == wanted] or candidates
-    return min(preferred, key=lambda arc: (arc.alpha_circle, arc.face, arc.positions))
+    return min(candidates, key=lambda arc: (arc.alpha_circle, arc.face, arc.positions))
+
+
+def _face_arcs(diagram: PlanarDiagram) -> list[tuple[int, int, CuttingArc | None]]:
+    """One scan of the face boundaries: per pair of non-alternating
+    incidences on distinct edges of one face, the face id, its incidence
+    count and the arc joining them, or None when the two edges do not share
+    both their all-A and their all-B circle."""
+    _require_surgery_input(diagram)
+    alt = diagram.alternation
+    a_of = diagram.a_circles.circle_of_edge(diagram)
+    b_of = diagram.b_circles.circle_of_edge(diagram)
+    out = []
+    for face in diagram.faces:
+        spots = [(i, diagram.label(d)) for i, d in enumerate(face.darts) if not alt[diagram.label(d)]]
+        for (i, e1), (j, e2) in combinations(spots, 2):
+            if e1 == e2:
+                continue
+            shared = a_of[e1] == a_of[e2] and b_of[e1] == b_of[e2]
+            arc = CuttingArc(face.id, (i, j), (e1, e2), a_of[e1], b_of[e1]) if shared else None
+            out.append((face.id, len(spots), arc))
+    return out
 
 
 def _require_surgery_input(diagram: PlanarDiagram) -> None:
@@ -148,15 +137,10 @@ def surger_arc(
     e1, e2 = diagram.label(u1), diagram.label(u2)
     if e1 == e2:
         raise DiagramError("arc endpoints lie on the same edge")
+    result = surger_darts(diagram, u1, u2)
     a1, a2 = diagram.alpha[u1], diagram.alpha[u2]
     fx = max(diagram.edge_labels) + 1
     fy = fx + 1
-    rows = [list(row) for row in diagram.crossings]
-    rows[a1 >> 2][a1 & 3] = fx
-    rows[u2 >> 2][u2 & 3] = fx
-    rows[u1 >> 2][u1 & 3] = fy
-    rows[a2 >> 2][a2 & 3] = fy
-    result = PlanarDiagram.from_rows(rows, allow_disconnected=True)
     attaching = AttachingEdge(
         (fx, fy),
         ((a1 >> 2, a1 & 3), (a2 >> 2, a2 & 3)),
@@ -335,21 +319,16 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
     than the input genus. All of that is asserted, not assumed.
     """
     _require_surgery_input(diagram)
-    g = turaev_genus(diagram)
+    g = diagram.genus
     arc = outermost_bigon_arc(diagram)
-    coloring = checkerboard(diagram)
-    if coloring.color(arc.face) != BLACK:
-        coloring = coloring.swapped()
-    na = state_circles(diagram, all_a(diagram)).n
-    nb = state_circles(diagram, all_b(diagram)).n
     intermediate, attaching = surger_cutting_arc(diagram, arc)
     if not intermediate.is_connected:
         raise DiagramError("cutting-arc surgery of a prime diagram must stay connected")
-    if state_circles(intermediate, all_a(intermediate)).n != na + 1:
+    if intermediate.a_circles.n != diagram.a_circles.n + 1:
         raise DiagramError("cutting-arc surgery must split the all-A circle")
-    if state_circles(intermediate, all_b(intermediate)).n != nb + 1:
+    if intermediate.b_circles.n != diagram.b_circles.n + 1:
         raise DiagramError("cutting-arc surgery must split the all-B circle")
-    if turaev_genus(intermediate) != g - 1:
+    if intermediate.genus != g - 1:
         raise DiagramError("cutting-arc surgery must lower the genus by one")
     # Induced coloring: the merged face (right of the first attaching dart)
     # is white.

@@ -27,6 +27,7 @@ from .pdcore import (
     DiagramError,
     PlanarDiagram,
     Refused,
+    _crossing_classes,
     checkerboard,
     composite_circles,
     crossing_signs,
@@ -117,23 +118,8 @@ def decompose(diagram: PlanarDiagram) -> TangleDecomposition:
     if not diagram.is_connected:
         raise DiagramError("tangle decomposition requires a connected diagram")
     alt = edge_alternation(diagram)
-    parent = list(range(diagram.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for lab, (d1, d2) in diagram.edge_darts.items():
-        if alt[lab]:
-            a, b = find(d1 >> 2), find(d2 >> 2)
-            if a != b:
-                parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for c in range(diagram.n):
-        groups.setdefault(find(c), []).append(c)
-    crossing_sets = sorted(tuple(sorted(g)) for g in groups.values())
+    links = ((d1 >> 2, d2 >> 2) for lab, (d1, d2) in diagram.edge_darts.items() if alt[lab])
+    crossing_sets = [tuple(g) for g in _crossing_classes(diagram.n, links)]
     signs = crossing_signs(diagram)
     tangle_of_crossing = {}
     for tid, crossings in enumerate(crossing_sets):

@@ -99,6 +99,23 @@ def small_exhaustive_rows():
     return [d.crossings for d in corpus_mod.exhaustive(4)]
 
 
+@pytest.fixture()
+def traces(monkeypatch):
+    """Every state-circle trace made during the test, as (diagram, state).
+
+    The diagrams are kept alive, so their ids stay distinct.
+    """
+    log = []
+    real = states.state_circles
+
+    def traced(diagram, state):
+        log.append((diagram, tuple(state)))
+        return real(diagram, state)
+
+    monkeypatch.setattr(states, "state_circles", traced)
+    return log
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     """One PASS/FAIL line per acceptance criterion, outside output capture."""

@@ -118,6 +118,17 @@ def alternation_from_text(rows) -> dict[int, bool]:
     return {lab: (ss[0] % 2) != (ss[1] % 2) for lab, ss in slots.items()}
 
 
+def is_almost_alternating_by_switching(rows) -> bool:
+    """Reference for ``moves.is_almost_alternating``: switch each crossing
+    in turn (turn its row by one slot) and test every edge of the result."""
+    for c, row in enumerate(rows):
+        switched = list(rows)
+        switched[c] = tuple(row[1:]) + tuple(row[:1])
+        if all(alternation_from_text(switched).values()):
+            return True
+    return False
+
+
 def brute_force_all_diagrams(n: int):
     """Every connected planar diagram with n crossings, via raw matchings.
 

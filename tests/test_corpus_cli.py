@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -247,6 +248,65 @@ class TestCliBatch:
             {"refused": "outside the contract"},
             {"length": 4},
         ]
+
+
+# sha256 of what each subcommand prints over the named fixtures, written
+# as <name>.pd in the working directory. Caching and refactoring inside the
+# library must leave these bytes alone.
+GOLDEN_FIXTURES = ("kink", "trefoil", "pseudotref", "clasp2", "connsum", "cycle4", "aa6", "gen2a", "gen2b")
+GOLDEN_DIGESTS = {
+    "info": "cce62da5d63159db6b2afb5c95b3f2921b59cc5c18e2a8e48df3d1f5489d39f1",
+    "classify": "d9680beb2464b13f978f00ba0c12fe26e4b400e6e693056f8c5b3d213675d478",
+    "reduce": "ec07f5d2136999f6f3f509dabad0f706b65f2bb4ffd7d7a69c219cd244ba7998",
+    "check --from-turaev": "0124838fea258b7eccb1c5b4653b25aad25472aab4eecf9ba3f9817909de5ffe",
+}
+# manifest.jsonl of `turaev corpus --max-crossings 4 --verify`.
+GOLDEN_MANIFEST_4 = "f097663a5de97a8d99ab715f9a6406c1d92fe183c6491bfd1c01597a069cb6c5"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestCliGolden:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
+    def test_fixture_output(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        files = []
+        for name in GOLDEN_FIXTURES:
+            Path(name + ".pd").write_text(getattr(fixtures, name)().to_pd_text() + "\n", encoding="utf-8")
+            files.append(name + ".pd")
+        code, out, _ = run_cli(capsys, *command.split(), *files)
+        assert code == 0
+        assert _sha256(out.encode("utf-8")) == GOLDEN_DIGESTS[command]
+
+    def test_corpus_manifest(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "corpus", "--out", str(tmp_path), "--max-crossings", "4", "--verify")
+        assert code == 0
+        assert _sha256((tmp_path / "manifest.jsonl").read_bytes()) == GOLDEN_MANIFEST_4
+
+
+class TestCliMalformedJson:
+    BAD = {
+        "no-key.json": '{"foo": 1}',
+        "int.json": '{"crossings": 5}',
+        "flat.json": '{"crossings": [1, 2]}',
+        "top-list.json": "[[1]]",
+        "string.json": '{"crossings": [["a", 1, 2, 2]]}',
+        "float.json": '{"crossings": [[1, 1, 2, 2.5]]}',
+        "bool.json": '{"crossings": [[true, 1, 2, 2]]}',
+    }
+
+    @pytest.mark.parametrize("command", ["info", "check", "check --from-turaev"])
+    def test_each_bad_file_gets_an_error_record(self, capsys, fixture_file, command):
+        paths = [fixture_file(name, text) for name, text in self.BAD.items()]
+        trefoil = fixture_file("trefoil.pd", fixtures.trefoil().to_pd_text())
+        code, out, _ = run_cli(capsys, *command.split(), *paths, trefoil)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 2
+        assert [r["file"] for r in records] == paths + [trefoil]
+        assert all(set(r) == {"error", "file"} for r in records[:-1])
+        assert "error" not in records[-1] and records[-1]["genus"] == 0
 
 
 class TestCliCheck:

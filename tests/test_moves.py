@@ -17,12 +17,15 @@ from turaev.pdcore import (
     PlanarDiagram,
     Refused,
     canonical_encoding,
+    is_alternating,
     is_prime,
     parse_pd,
 )
 from turaev.states import loop_crossings, turaev_genus
 from turaev.surgery import find_cutting_arcs, split_components, surger_arc
 from turaev.tangles import decompose, gen_cycle
+
+import oracles
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 PSEUDOTREF = parse_pd("X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]")
@@ -108,6 +111,16 @@ class TestIsAlmostAlternating:
     def test_alternating_refused(self):
         with pytest.raises(Refused):
             is_almost_alternating(TREFOIL)
+
+    def test_matches_switching_oracle(self, small_exhaustive_rows, random_rows):
+        checked = 0
+        for rows in list(small_exhaustive_rows) + list(random_rows):
+            d = PlanarDiagram(rows)
+            if is_alternating(d):
+                continue
+            assert is_almost_alternating(d) == oracles.is_almost_alternating_by_switching(rows), rows
+            checked += 1
+        assert checked > 500
 
 
 class TestPipeline:

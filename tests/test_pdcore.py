@@ -231,3 +231,78 @@ class TestCanonical:
     def test_odd_rotation_rejected(self):
         with pytest.raises(DiagramError):
             relabel(parse_pd(KINK), [0], [1])
+
+
+class TestCachedFacts:
+    def test_facts_are_computed_once(self):
+        d = parse_pd(PSEUDOTREF)
+        assert composite_circles(d) is composite_circles(d)
+        assert checkerboard(d) is checkerboard(d)
+        assert crossing_signs(d) is crossing_signs(d)
+        assert edge_alternation(d) is edge_alternation(d)
+        assert d.a_circles is d.a_circles and d.b_circles is d.b_circles
+
+    def test_cached_mappings_are_read_only(self):
+        d = parse_pd(PSEUDOTREF)
+        lab = d.edge_labels[0]
+        with pytest.raises(TypeError):
+            edge_alternation(d)[lab] = True
+        with pytest.raises(TypeError):
+            crossing_signs(d)[0] = 1
+        with pytest.raises(TypeError):
+            d.edge_darts[lab] = (0, 1)
+
+    def test_anchored_facts_stay_fresh(self):
+        d = parse_pd(TREFOIL)
+        other = d.face_at_corner(0, 1)
+        assert checkerboard(d, black_face=other) == checkerboard(d).swapped()
+        assert crossing_signs(d, checkerboard(d).swapped()) == {c: -s for c, s in crossing_signs(d).items()}
+
+    def test_pickle_keeps_crossings_only(self):
+        import pickle
+
+        d = parse_pd(PSEUDOTREF)
+        assert d.genus == 1 and not d.composite_circles
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d and "genus" not in vars(back)
+        assert back.genus == d.genus
+
+    def test_planar_and_surface_share_the_core(self):
+        from turaev.surfcheck import SurfaceDiagram
+
+        d = parse_pd(PSEUDOTREF)
+        s = SurfaceDiagram.from_planar(d)
+        assert isinstance(d, pdcore.RotationSystem) and isinstance(s, pdcore.RotationSystem)
+        assert (s.alpha, s.faces, s.edge_darts, s.components) == (d.alpha, d.faces, d.edge_darts, d.components)
+        assert s.alternation == d.alternation
+        assert s != d
+
+
+class TestReadRows:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"foo": 1}',
+            '{"crossings": 5}',
+            '{"crossings": [1, 2]}',
+            '{"crossings": [["a", 1, 2, 2]]}',
+            '{"crossings": [[1, 1, 2, 2.5]]}',
+            '{"crossings": [[true, 1, 2, 2]]}',
+            "[[1, 1, 2, 2]]",
+            "X[1,1,2,2] junk",
+            "   ",
+        ],
+    )
+    def test_malformed_input_raises_parse_error(self, text):
+        from turaev.surfcheck import parse_surface
+
+        with pytest.raises(ParseError):
+            pdcore.read_rows(text)
+        with pytest.raises(ParseError):
+            parse_pd(text)
+        with pytest.raises(ParseError):
+            parse_surface("genus-free: true\n" + text)
+
+    def test_text_and_json_agree(self):
+        d = parse_pd(TREFOIL)
+        assert pdcore.read_rows(d.to_json()) == pdcore.read_rows(TREFOIL) == list(d.crossings)

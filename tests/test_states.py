@@ -179,3 +179,27 @@ class TestReport:
     def test_fixture_reports(self):
         assert diagram_report(fixtures.trefoil())["adequacy"] == "adequate"
         assert diagram_report(fixtures.pseudotref())["adequacy"] == "inadequate-diagram"
+
+
+class TestTraceCounts:
+    def test_report_traces_each_family_once(self, traces):
+        from turaev.corpus import random_corpus
+
+        diagrams = random_corpus(3, 40, 10)
+        traces.clear()
+        for d in diagrams:
+            diagram_report(d)
+            diagram_report(d)
+        assert len(traces) == 2 * len(diagrams)
+        assert {(id(d), st) for d, st in traces} == {
+            (id(d), st) for d in diagrams for st in (all_a(d), all_b(d))
+        }
+
+    def test_complex_and_genus_reuse_the_report_traces(self, traces):
+        d = PlanarDiagram.from_rows(fixtures.gen2a().crossings)
+        traces.clear()
+        diagram_report(d)
+        build_turaev_complex(d)
+        turaev_genus(d)
+        loop_crossings(d)
+        assert len(traces) == 2

@@ -227,3 +227,15 @@ class TestReduceLadder:
             parse_pd(step["diagram"])
             for out in step["results"]:
                 parse_pd(out)
+
+
+class TestSplitStepTraces:
+    def test_no_diagram_traced_twice(self, traces):
+        inputs = [fixtures.pseudotref(), fixtures.aa6(), fixtures.gen2a(), fixtures.gen2b()]
+        for source in inputs:
+            d = PlanarDiagram.from_rows(source.crossings)
+            traces.clear()
+            split_step(d)
+            keys = [(id(x), st) for x, st in traces]
+            assert len(keys) == len(set(keys))
+            assert sorted(st for x, st in traces if x is d) == [all_a(d), all_b(d)]
