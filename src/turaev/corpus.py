@@ -4,23 +4,34 @@
 The exhaustive corpus is built in two phases. First the projections
 (shadows: diagrams up to over/under) are grown by crossing insertion: cut
 one or two edges at interior points of a common face and wire the loose
-ends through a new crossing, in every cyclic arrangement that stays
-planar. Smoothing a crossing inverts an insertion, and every connected
-projection with more than one crossing has a crossing whose smoothing
-stays connected (a deleted vertex leaves at most two pieces because
-4-valent plane graphs are bridgeless, and one of the two smoothings then
-reconnects them). The argument never looks at over/under, so growing
-from the one-crossing projection reaches every projection. Then each
-projection is expanded: a diagram is its projection plus one over/under
-choice per crossing, so the 2^n choices on every n-crossing projection
-give every n-crossing diagram. Duplicates are removed with the canonical
-form, without parity for projections and with it for diagrams.
+ends through a new crossing inside that face. Smoothing a crossing
+inverts an insertion, and every connected projection with more than one
+crossing has a crossing whose smoothing stays connected (a deleted vertex
+leaves at most two pieces because 4-valent plane graphs are bridgeless,
+and one of the two smoothings then reconnects them). The argument never
+looks at over/under, so growing from the one-crossing projection reaches
+every projection. Then each projection is expanded: a diagram is its
+projection plus one over/under choice per crossing, so the 2^n choices
+on every n-crossing projection give every n-crossing diagram. Duplicates
+are removed with the canonical form, without parity for projections and
+with it for diagrams.
+
+Each insertion is written in its planar arrangements only, and that
+loses nothing. Smoothing a crossing joins its stubs in adjacent pairs,
+and the crossing sits in the face of the smoothed projection between the
+two joined arcs. Its four edges reach the cut points through that face
+without crossing, so around it the stubs keep the order in which the
+face boundary meets them. The face lies to the right of its boundary
+walk, so that is reverse walk order: one arrangement per cut pair (its
+one-slot rotation is the same projection). A kink's loop joins two
+adjacent stubs and lies on either side of the cut edge: two
+arrangements. Every other cyclic order makes two new edges cross.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .pdcore import DiagramError, PlanarDiagram, canonical_rows
 
@@ -34,121 +45,61 @@ def one_crossing_diagrams() -> list[PlanarDiagram]:
     ]
 
 
-# Cyclic arrangements of the four stub ends around the new crossing:
-# (tail1, head1, tail2, head2) in every distinct cyclic order. Planarity
-# validation discards the rest. Random growth also draws the over/under
-# assignment, as the order's one-slot rotation.
-_STUB_ORDERS = sorted({(0,) + rest for rest in permutations((1, 2, 3))})
-
-
 def _row_candidates(stubs: tuple[int, int, int, int]) -> list[tuple[int, int, int, int]]:
+    """The 12 arrangements, repeats included: every cyclic order of the
+    stubs, each in both slot rotations (the over/under choice)."""
     out = []
-    for order in _STUB_ORDERS:
-        row = tuple(stubs[i] for i in order)
+    for rest in sorted(permutations((1, 2, 3))):
+        row = tuple(stubs[i] for i in (0,) + rest)
         out.append(row)
         out.append(row[1:] + row[:1])
     return out
 
 
-def _valid_rows(rows: list[list[int]]) -> Rows | None:
-    """Validate connected + planar quickly; return frozen rows or None."""
-    n = len(rows)
-    nd = 4 * n
-    where: dict[int, int] = {}
-    alpha = [-1] * nd
-    for d in range(nd):
-        lab = rows[d >> 2][d & 3]
-        other = where.pop(lab, None)
-        if other is None:
-            where[lab] = d
-        else:
-            alpha[d] = other
-            alpha[other] = d
-    if where or any(a < 0 for a in alpha):
-        return None
-    # Connectivity over darts via alpha and same-crossing moves.
-    seen = bytearray(nd)
-    stack = [0]
-    seen[0] = 1
-    reached = 1
-    while stack:
-        d = stack.pop()
-        for e in (alpha[d], (d & ~3) | ((d + 1) & 3)):
-            if not seen[e]:
-                seen[e] = 1
-                reached += 1
-                stack.append(e)
-    if reached != nd:
-        return None
-    # Planarity: V - E + F = 2 with faces traced from the rotation.
-    visited = bytearray(nd)
-    faces = 0
-    for start in range(nd):
-        if visited[start]:
-            continue
-        faces += 1
-        d = start
-        while not visited[d]:
-            visited[d] = 1
-            a = alpha[d]
-            d = (a & ~3) | ((a + 1) & 3)
-    if n - 2 * n + faces != 2:
-        return None
+# Random growth draws from all 12 arrangements and rejects what is not
+# planar.
+_CUT_PAIR_DRAWS = _row_candidates((1, 2, 3, 4))
+_KINK_DRAWS = _row_candidates((1, 2, 3, 3))
+
+
+def _grown(d: PlanarDiagram, darts: tuple[int, ...], row: tuple[int, int, int, int]) -> Rows:
+    """d's rows with the edge of each dart cut, plus the new crossing.
+
+    With m the largest label, the k-th dart's end of its edge becomes
+    stub m+1+2k and the other end m+2+2k; a kink's loop is m+3. ``row``
+    holds the new crossing's labels as offsets from m.
+    """
+    m = max(d.edge_labels)
+    rows = [list(r) for r in d.crossings]
+    for k, u in enumerate(darts):
+        a = d.alpha[u]
+        rows[u >> 2][u & 3] = m + 1 + 2 * k
+        rows[a >> 2][a & 3] = m + 2 + 2 * k
+    rows.append([m + x for x in row])
     return tuple(tuple(r) for r in rows)
 
 
 def _canonical(rows: Rows, keep_parity: bool = True) -> Rows:
+    d = PlanarDiagram(rows)
     labels = [lab for row in rows for lab in row]
-    nd = len(labels)
-    pos: dict[int, int] = {}
-    alpha = [0] * nd
-    for d, lab in enumerate(labels):
-        if lab in pos:
-            alpha[d] = pos[lab]
-            alpha[pos[lab]] = d
-        else:
-            pos[lab] = d
-    return canonical_rows(labels, alpha, len(rows), keep_parity=keep_parity)
+    return canonical_rows(labels, d.alpha, d.n, keep_parity=keep_parity)
 
 
 def child_rows(shadow_rows: Rows) -> list[Rows]:
     """Every planar one-crossing insertion into the projection, with repeats.
 
-    A row and its one-slot rotation have the same projection, so each
-    cyclic stub order is tried once.
+    A cut pair's stubs meet the new crossing in reverse walk order, and a
+    kink's loop lies on either side of its edge (see the module notes).
     """
-    diagram = PlanarDiagram(shadow_rows)
-    m = max(diagram.edge_labels)
-    base = [list(row) for row in shadow_rows]
-    out: list[Rows] = []
-
-    def insert(rows: list[list[int]], stubs: tuple[int, int, int, int]) -> None:
-        for order in _STUB_ORDERS:
-            ok = _valid_rows(rows + [[stubs[i] for i in order]])
-            if ok is not None:
-                out.append(ok)
-
-    # Two cut edges on a common face.
-    for face in diagram.faces:
-        walk = face.darts
-        for i in range(len(walk)):
-            for j in range(i + 1, len(walk)):
-                u, v = walk[i], walk[j]
-                if diagram.label(u) == diagram.label(v):
-                    continue
-                au, av = diagram.alpha[u], diagram.alpha[v]
-                rows = [r[:] for r in base]
-                rows[u >> 2][u & 3] = m + 1      # tail1, before the cut on edge of u
-                rows[au >> 2][au & 3] = m + 2    # head1
-                rows[v >> 2][v & 3] = m + 3      # tail2
-                rows[av >> 2][av & 3] = m + 4    # head2
-                insert(rows, (m + 1, m + 2, m + 3, m + 4))
-    # One cut edge: a kink, whose loop is the fresh edge m+3.
-    for lab, (d, ad) in diagram.edge_darts.items():
-        rows = [r[:] for r in base]
-        rows[d >> 2][d & 3] = m + 1
-        rows[ad >> 2][ad & 3] = m + 2
-        insert(rows, (m + 1, m + 2, m + 3, m + 3))
+    d = PlanarDiagram(shadow_rows)
+    out = [
+        _grown(d, (u, v), (1, 4, 3, 2))
+        for face in d.faces
+        for u, v in combinations(face.darts, 2)
+        if d.label(u) != d.label(v)
+    ]
+    for u, _ in d.edge_darts.values():
+        out += [_grown(d, (u,), (1, 2, 3, 3)), _grown(d, (u,), (1, 3, 3, 2))]
     return out
 
 
@@ -192,40 +143,29 @@ def random_diagram(rng: random.Random, n_crossings: int) -> PlanarDiagram:
     """A random connected diagram grown by seeded random insertions.
 
     Each step draws a face, two boundary positions (or one edge for a
-    kink), and a stub arrangement, retrying until the result is planar.
+    kink), and one of the 12 stub arrangements, retrying until the result
+    is planar.
     """
     if n_crossings < 1:
         raise DiagramError("need at least one crossing")
-    d = PlanarDiagram(rng.choice(one_crossing_diagrams()).crossings)
+    d = rng.choice(one_crossing_diagrams())
     while d.n < n_crossings:
-        m = max(d.edge_labels)
-        rows = [list(row) for row in d.crossings]
         if rng.random() < 0.15:
-            lab = rng.choice(d.edge_labels)
-            u, au = d.edge_darts[lab]
-            rows[u >> 2][u & 3] = m + 1
-            rows[au >> 2][au & 3] = m + 2
-            stubs = (m + 1, m + 2, m + 3, m + 3)
+            darts = (d.edge_darts[rng.choice(d.edge_labels)][0],)
+            draws = _KINK_DRAWS
         else:
             face = d.faces[rng.randrange(len(d.faces))]
             if face.degree < 2:
                 continue
             i, j = rng.sample(range(face.degree), 2)
-            u, v = face.darts[i], face.darts[j]
-            if d.label(u) == d.label(v):
+            darts = (face.darts[i], face.darts[j])
+            if d.label(darts[0]) == d.label(darts[1]):
                 continue
-            au, av = d.alpha[u], d.alpha[v]
-            rows[u >> 2][u & 3] = m + 1
-            rows[au >> 2][au & 3] = m + 2
-            rows[v >> 2][v & 3] = m + 3
-            rows[av >> 2][av & 3] = m + 4
-            stubs = (m + 1, m + 2, m + 3, m + 4)
-        candidates = _row_candidates(stubs)
-        row = candidates[rng.randrange(len(candidates))]
-        ok = _valid_rows(rows + [list(row)])
-        if ok is None:
+            draws = _CUT_PAIR_DRAWS
+        try:
+            d = PlanarDiagram.from_rows(_grown(d, darts, draws[rng.randrange(len(draws))]))
+        except DiagramError:
             continue
-        d = PlanarDiagram(ok)
     return d
 
 

@@ -20,7 +20,10 @@ cannot arise that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .pdcore import (
     DiagramError,
@@ -36,7 +39,11 @@ from .states import TuraevCellComplex
 
 @dataclass(frozen=True)
 class SurfaceDiagram(RotationSystem):
-    """A diagram cellularly embedded in a closed orientable surface."""
+    """A diagram cellularly embedded in a closed orientable surface.
+
+    Besides the rotation-system facts it caches the edge index and the
+    vertex coboundary span that every mod-2 homology test reads.
+    """
 
     @staticmethod
     def from_rows(rows) -> "SurfaceDiagram":
@@ -57,6 +64,23 @@ class SurfaceDiagram(RotationSystem):
     @property
     def genus(self) -> int:
         return (2 - self.n + 2 * self.n - len(self.faces)) // 2
+
+    @cached_property
+    def edge_index(self) -> Mapping[int, int]:
+        """label -> bit position of the edge in mod-2 chain vectors."""
+        return MappingProxyType({lab: i for i, lab in enumerate(self.edge_labels)})
+
+    @cached_property
+    def vertex_span(self) -> "_Gf2Span":
+        """Span of the vertex stars; dual cycles in it are null-homologous."""
+        return _Gf2Span.of(self.chain_vector(row) for row in self.crossings)
+
+    def chain_vector(self, labels: Iterable[int]) -> int:
+        """Mod-2 chain vector of the edges, a label listed twice cancelling."""
+        vec = 0
+        for lab in labels:
+            vec ^= 1 << self.edge_index[lab]
+        return vec
 
     def to_pd_text(self) -> str:
         return "genus-free: true\n" + " ".join("X[%d,%d,%d,%d]" % row for row in self.crossings)
@@ -84,20 +108,21 @@ def parse_surface(text: str) -> SurfaceDiagram:
 # -- mod-2 homology of the dual complex --------------------------------------
 
 
+@dataclass(frozen=True)
 class _Gf2Span:
-    """Row-echelon span of bit vectors (ints), as in Gaussian elimination."""
+    """Row-echelon basis of a span of bit vectors (ints), descending, as
+    in Gaussian elimination."""
 
-    def __init__(self) -> None:
-        self.rows: list[int] = []
+    rows: tuple[int, ...]
 
-    def add(self, vec: int) -> bool:
-        """Insert; returns True when the vector was independent."""
-        x = self.reduce(vec)
-        if x:
-            self.rows.append(x)
-            self.rows.sort(reverse=True)
-            return True
-        return False
+    @staticmethod
+    def of(vectors: Iterable[int]) -> "_Gf2Span":
+        span = _Gf2Span(())
+        for vec in vectors:
+            x = span.reduce(vec)
+            if x:
+                span = _Gf2Span(tuple(sorted(span.rows + (x,), reverse=True)))
+        return span
 
     def reduce(self, vec: int) -> int:
         x = vec
@@ -113,34 +138,15 @@ class _Gf2Span:
         return len(self.rows)
 
 
-def _edge_index(s: SurfaceDiagram) -> dict[int, int]:
-    return {lab: i for i, lab in enumerate(s.edge_labels)}
-
-
 def vertex_coboundary_span(s: SurfaceDiagram) -> _Gf2Span:
-    """Span of the vertex stars; dual cycles in it are null-homologous."""
-    idx = _edge_index(s)
-    span = _Gf2Span()
-    for c in range(s.n):
-        vec = 0
-        for slot in range(4):
-            vec ^= 1 << idx[s.crossings[c][slot]]
-        span.add(vec)
-    return span
+    """The cached span of the vertex stars, ``s.vertex_span``."""
+    return s.vertex_span
 
 
 def homology_rank_check(s: SurfaceDiagram) -> int:
     """dim H1(F; Z/2) computed from the cell structure; equals 2 * genus."""
-    idx = _edge_index(s)
-    vertex_span = vertex_coboundary_span(s)
-    face_span = _Gf2Span()
-    for face in s.faces:
-        vec = 0
-        for d in face.darts:
-            vec ^= 1 << idx[s.label(d)]
-        face_span.add(vec)
-    n_edges = len(idx)
-    dim = n_edges - vertex_span.rank - face_span.rank
+    face_span = _Gf2Span.of(s.chain_vector(map(s.label, face.darts)) for face in s.faces)
+    dim = len(s.edge_index) - s.vertex_span.rank - face_span.rank
     if dim != 2 * s.genus:
         raise DiagramError(f"homology dimension {dim} disagrees with genus {s.genus}")
     return dim
@@ -199,20 +205,17 @@ def two_intersection_loops(s: SurfaceDiagram) -> LoopReport:
         raise Refused("surface diagram is not alternating")
     if s.genus == 0:
         return LoopReport(0, (), "not-applicable")
-    idx = _edge_index(s)
-    span = vertex_coboundary_span(s)
+    span = s.vertex_span
     loops: list[DualLoop] = []
     # One face on both sides of an edge: a loop crossing it once.
     for lab, (d1, d2) in sorted(s.edge_darts.items()):
         f1, f2 = s.face_of_dart[d1], s.face_of_dart[d2]
         if f1 == f2:
-            vec = 1 << idx[lab]
-            loops.append(DualLoop((lab,), (f1,), vec not in span))
+            loops.append(DualLoop((lab,), (f1,), s.chain_vector((lab,)) not in span))
     # Two faces sharing two or more edges: loops crossing two of them.
     for faces, labs in s.face_pair_edges.items():
-        for e1, e2 in combinations(labs, 2):
-            vec = (1 << idx[e1]) ^ (1 << idx[e2])
-            loops.append(DualLoop((e1, e2), faces, vec not in span))
+        for pair in combinations(labs, 2):
+            loops.append(DualLoop(pair, faces, s.chain_vector(pair) not in span))
     found = any(l.nontrivial and l.intersections == 2 for l in loops)
     return LoopReport(s.genus, tuple(loops), "loop-found" if found else "obstructed")
 
@@ -241,18 +244,12 @@ def is_reduced(s: SurfaceDiagram) -> bool:
     null-homologous. On the sphere the homology condition is automatic and
     this is the usual isthmus test.
     """
-    idx = _edge_index(s)
-    span = vertex_coboundary_span(s)
-    for c in range(s.n):
-        row = s.crossings[c]
+    for c, row in enumerate(s.crossings):
         for k in (0, 1):
             if s.face_at_corner(c, k) != s.face_at_corner(c, k + 2):
                 continue
-            for side in (
-                (1 << idx[row[(k + 1) % 4]]) ^ (1 << idx[row[(k + 2) % 4]]),
-                (1 << idx[row[k]]) ^ (1 << idx[row[(k + 3) % 4]]),
-            ):
-                if side in span:
+            for side in ((row[(k + 1) % 4], row[(k + 2) % 4]), (row[k], row[(k + 3) % 4])):
+                if s.chain_vector(side) in s.vertex_span:
                     return False
     return True
 
@@ -274,21 +271,23 @@ def hayashi_complexity(s: SurfaceDiagram, max_len: int | None = None) -> Hayashi
     homology_rank_check(s)
     nf = len(s.faces)
     limit = nf if max_len is None else min(max_len, nf)
-    idx = _edge_index(s)
-    span = vertex_coboundary_span(s)
-    # Dual multigraph: per face, (neighbor face, edge label).
+    span = s.vertex_span
+    # Dual multigraph: per face, (neighbor face, chain vector of the edge
+    # crossed); the vectors grow with the labels, so sorting keeps label
+    # order.
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
     best: int | None = None
     examined = 0
     for lab, (d1, d2) in sorted(s.edge_darts.items()):
         f1, f2 = s.face_of_dart[d1], s.face_of_dart[d2]
+        edge_vec = s.chain_vector((lab,))
         if f1 == f2:
             examined += 1
-            if (1 << idx[lab]) not in span:
+            if edge_vec not in span:
                 best = 1 if best is None else min(best, 1)
         else:
-            adjacency[f1].append((f2, lab))
-            adjacency[f2].append((f1, lab))
+            adjacency[f1].append((f2, edge_vec))
+            adjacency[f2].append((f1, edge_vec))
     for a in adjacency:
         a.sort()
 
@@ -297,10 +296,10 @@ def hayashi_complexity(s: SurfaceDiagram, max_len: int | None = None) -> Hayashi
         nonlocal best, examined
         if best is not None and length >= best:
             return
-        for nxt, lab in adjacency[node]:
+        for nxt, edge_vec in adjacency[node]:
             if nxt == root and length >= 1:
                 examined += 1
-                cycle_vec = vec ^ (1 << idx[lab])
+                cycle_vec = vec ^ edge_vec
                 if cycle_vec and cycle_vec not in span:
                     total = length + 1
                     if best is None or total < best:
@@ -310,7 +309,7 @@ def hayashi_complexity(s: SurfaceDiagram, max_len: int | None = None) -> Hayashi
             if length + 1 >= limit:
                 continue
             visited.add(nxt)
-            dfs(root, nxt, visited, vec ^ (1 << idx[lab]), length + 1)
+            dfs(root, nxt, visited, vec ^ edge_vec, length + 1)
             visited.remove(nxt)
 
     for root in range(nf):

@@ -171,13 +171,25 @@ def exhaustive_by_insertion(max_crossings: int):
     crossings, grown one crossing at a time with the over/under choice made
     at each insertion.
 
-    The reference for ``corpus.exhaustive``, which grows projections and
-    chooses the crossings at the end: here each insertion tries all 12
-    stub arrangements (6 cyclic orders, each in both slot rotations) and
-    every survivor is canonicalized. Levels are sorted, as in the corpus.
+    The reference for ``corpus.exhaustive``, which grows projections in
+    their planar arrangements only and chooses the crossings at the end:
+    here each insertion tries all 12 stub arrangements (6 cyclic orders,
+    each in both slot rotations), keeps those ``PlanarDiagram.from_rows``
+    accepts, and canonicalizes every survivor. Levels are sorted, as in
+    the corpus.
     """
+    from itertools import permutations
+
     from turaev import corpus
-    from turaev.pdcore import PlanarDiagram, canonical_encoding
+    from turaev.pdcore import DiagramError, PlanarDiagram, canonical_encoding
+
+    orders = sorted({(0,) + rest for rest in permutations((1, 2, 3))})
+
+    def arrangements(stubs):
+        for order in orders:
+            row = [stubs[i] for i in order]
+            yield row
+            yield row[1:] + row[:1]
 
     def children(rows):
         diagram = PlanarDiagram(rows)
@@ -198,17 +210,18 @@ def exhaustive_by_insertion(max_crossings: int):
                     a = diagram.alpha[d]
                     new[d >> 2][d & 3] = m + 1 + 2 * k
                     new[a >> 2][a & 3] = m + 2 + 2 * k
-            for row in corpus._row_candidates(stubs):
-                ok = corpus._valid_rows(new + [list(row)])
-                if ok is not None:
-                    yield ok
+            for row in arrangements(stubs):
+                try:
+                    yield PlanarDiagram.from_rows(new + [row])
+                except DiagramError:
+                    pass
 
     out = []
     level = {canonical_encoding(d) for d in corpus.one_crossing_diagrams()}
     for n in range(1, max_crossings + 1):
         if n > 1:
             level = {
-                canonical_encoding(PlanarDiagram(child))
+                canonical_encoding(child)
                 for rows in level
                 for child in children(rows)
             }

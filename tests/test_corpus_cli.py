@@ -35,12 +35,15 @@ class TestEnumeration:
     def test_shadow_levels_match_oracle(self, insertion_rows):
         from turaev.pdcore import shadow_encoding
 
-        levels = list(corpus._shadow_levels(4))
-        assert [len(level) for level in levels] == [1, 3, 7, 33]
+        levels = list(corpus._shadow_levels(5))
+        assert [len(level) for level in levels] == [1, 3, 7, 33, 156]
         for n, level in enumerate(levels, start=1):
             assert level == {
                 shadow_encoding(PlanarDiagram(rows)) for rows in insertion_rows if len(rows) == n
             }
+            for rows in level:
+                for child in corpus.child_rows(rows):
+                    assert PlanarDiagram.from_rows(child).n == n + 1
 
     def test_canonical_and_sorted(self):
         diagrams = corpus.exhaustive(3)
@@ -64,6 +67,13 @@ class TestEnumeration:
         assert [d.crossings for d in a] == [d.crossings for d in b]
         c = corpus.random_corpus(6, 40, 8)
         assert [d.crossings for d in a] != [d.crossings for d in c]
+
+    def test_random_corpus_pinned(self):
+        diagrams = corpus.random_corpus(20260808, 1000, 12)
+        text = "\n".join(d.to_pd_text() for d in diagrams)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "63c475c4b5eba516e06727df852d14d44b25d018c9e587177164e08ca96c19a9"
+        )
 
     def test_random_prime_filter(self):
         from turaev.pdcore import is_prime

@@ -1,6 +1,8 @@
+from functools import cached_property
+
 import pytest
 
-from turaev import fixtures
+from turaev import cli, fixtures
 from turaev.pdcore import DiagramError, Refused, is_alternating, parse_pd
 from turaev.states import build_turaev_complex
 from turaev.surfcheck import (
@@ -12,6 +14,7 @@ from turaev.surfcheck import (
     parse_surface,
     surface_genus,
     two_intersection_loops,
+    vertex_coboundary_span,
 )
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
@@ -120,3 +123,34 @@ class TestFromComplex:
     def test_preserves_edge_labels(self):
         s = from_turaev_complex(build_turaev_complex(CLASP2))
         assert sorted(s.edge_labels) == sorted(CLASP2.edge_labels)
+
+
+class TestCachedSpan:
+    @pytest.fixture()
+    def span_builds(self, monkeypatch):
+        """Every vertex-span build made during the test, as its diagram."""
+        log = []
+        real = SurfaceDiagram.vertex_span.func
+
+        def counted(s):
+            log.append(s)
+            return real(s)
+
+        prop = cached_property(counted)
+        prop.__set_name__(SurfaceDiagram, "vertex_span")
+        monkeypatch.setattr(SurfaceDiagram, "vertex_span", prop)
+        return log
+
+    def test_check_builds_the_span_once(self, span_builds):
+        out = cli._check_worker(PSEUDOTREF.to_pd_text(), from_turaev=True, max_dual_len=None)
+        assert out["verdict"] == "loop-found"
+        assert out["hayashi"]["complexity"] == 2
+        assert len(span_builds) == 1
+
+    def test_readers_share_the_cached_span(self):
+        s = fixtures.torusgrid()
+        assert vertex_coboundary_span(s) is s.vertex_span
+        assert s.vertex_span.rank == s.n - 1
+        assert dict(s.edge_index) == {lab: i for i, lab in enumerate(s.edge_labels)}
+        with pytest.raises(TypeError):
+            s.edge_index[1] = 0
