@@ -136,7 +136,8 @@ def _reduce_worker(text: str) -> dict:
     return out
 
 
-def _check_worker(text: str, *, from_turaev: bool, max_dual_len: int | None) -> dict:
+# ``max_dual_len`` is ignored; ``bench/pipelines.py`` still passes it.
+def _check_worker(text: str, *, from_turaev: bool, max_dual_len=None) -> dict:
     try:
         if from_turaev:
             d = parse_pd(text)
@@ -152,7 +153,7 @@ def _check_worker(text: str, *, from_turaev: bool, max_dual_len: int | None) -> 
     out = report.to_json_dict()
     if s.genus >= 1:
         try:
-            out["hayashi"] = surfcheck.hayashi_complexity(s, max_dual_len).to_json_dict()
+            out["hayashi"] = surfcheck.hayashi_complexity(s).to_json_dict()
         except Refused as exc:
             out["hayashi"] = {"refused": exc.reason}
     return out
@@ -280,9 +281,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    worker = functools.partial(
-        _check_worker, from_turaev=args.from_turaev, max_dual_len=args.max_dual_len
-    )
+    worker = functools.partial(_check_worker, from_turaev=args.from_turaev)
     results = _map_files(args.files, worker, 1)
     code = _emit(results, args.format)
     if any("refused" in data for _, data in results):
@@ -333,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("files", nargs="+", metavar="FILE")
     p_check.add_argument("--format", choices=("json", "text"), default="json")
     p_check.add_argument("--from-turaev", action="store_true", help="treat inputs as planar diagrams and check their state surfaces")
-    p_check.add_argument("--max-dual-len", type=int, default=None)
     p_check.set_defaults(func=_cmd_check)
     return parser
 

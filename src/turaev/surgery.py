@@ -230,7 +230,7 @@ class SplitStep:
         return sum(turaev_genus(c) for c in self.components)
 
 
-def certify_concentric(circles: tuple[CompositeCircle, ...], n_crossings: int) -> tuple[tuple[int, ...], ...]:
+def certify_concentric(circles: tuple[CompositeCircle, ...]) -> tuple[tuple[int, ...], ...]:
     """A chain of sides witnessing that the circles are concentric.
 
     Chooses one crossing side per circle so the chosen sides are totally
@@ -337,7 +337,7 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
         intermediate, black_face=intermediate.face_of_dart[4 * c + s]
     ).swapped()
     circles = composite_circles(intermediate)
-    witness = certify_concentric(circles, intermediate.n)
+    witness = certify_concentric(circles)
     pending = [(intermediate, inter_coloring)]
     finals: list[PlanarDiagram] = []
     used_attachings: list[AttachingEdge] = []

@@ -227,3 +227,57 @@ def exhaustive_by_insertion(max_crossings: int):
             }
         out.extend(sorted(level))
     return out
+
+
+def hayashi_by_dual_dfs(s) -> int | None:
+    """Fewest edges of a simple dual cycle of ``s`` outside the vertex
+    span, by depth-first search over every simple dual cycle.
+
+    The reference for ``surfcheck.hayashi_complexity``, which reads the
+    minimum off breadth-first fundamental cycles; exponential in the
+    number of faces.
+    """
+    nf = len(s.faces)
+    span = s.vertex_span
+    # Dual multigraph: per face, (neighbor face, chain vector of the edge
+    # crossed); the vectors grow with the labels, so sorting keeps label
+    # order.
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
+    best: int | None = None
+    for lab, (d1, d2) in sorted(s.edge_darts.items()):
+        f1, f2 = s.face_of_dart[d1], s.face_of_dart[d2]
+        edge_vec = s.chain_vector((lab,))
+        if f1 == f2:
+            if edge_vec not in span:
+                best = 1 if best is None else min(best, 1)
+        else:
+            adjacency[f1].append((f2, edge_vec))
+            adjacency[f2].append((f1, edge_vec))
+    for a in adjacency:
+        a.sort()
+
+    # Simple cycles rooted at their smallest face, extended by DFS.
+    def dfs(root: int, node: int, visited: set[int], vec: int, length: int) -> None:
+        nonlocal best
+        if best is not None and length >= best:
+            return
+        for nxt, edge_vec in adjacency[node]:
+            if nxt == root and length >= 1:
+                cycle_vec = vec ^ edge_vec
+                if cycle_vec and cycle_vec not in span:
+                    total = length + 1
+                    if best is None or total < best:
+                        best = total
+            if nxt <= root or nxt in visited:
+                continue
+            if length + 1 >= nf:
+                continue
+            visited.add(nxt)
+            dfs(root, nxt, visited, vec ^ edge_vec, length + 1)
+            visited.remove(nxt)
+
+    for root in range(nf):
+        if best is not None and best <= 2:
+            break
+        dfs(root, root, {root}, 0, 0)
+    return best

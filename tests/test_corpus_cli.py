@@ -268,7 +268,7 @@ GOLDEN_DIGESTS = {
     "info": "cce62da5d63159db6b2afb5c95b3f2921b59cc5c18e2a8e48df3d1f5489d39f1",
     "classify": "d9680beb2464b13f978f00ba0c12fe26e4b400e6e693056f8c5b3d213675d478",
     "reduce": "ec07f5d2136999f6f3f509dabad0f706b65f2bb4ffd7d7a69c219cd244ba7998",
-    "check --from-turaev": "0124838fea258b7eccb1c5b4653b25aad25472aab4eecf9ba3f9817909de5ffe",
+    "check --from-turaev": "9368fa08210d6e1a83b0a250ee4cf6e270463b0b90cc7e1aacf3836cf2b826ed",
 }
 # manifest.jsonl of `turaev corpus --max-crossings 4 --verify`.
 GOLDEN_MANIFEST_4 = "f097663a5de97a8d99ab715f9a6406c1d92fe183c6491bfd1c01597a069cb6c5"
@@ -326,7 +326,8 @@ class TestCliCheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "obstructed"
-        assert doc["hayashi"]["complexity"] >= 3
+        assert doc["hayashi"]["complexity"] == 4
+        assert doc["hayashi"]["marker"] == "exact"
 
     def test_pseudotref_complex(self, capsys, fixture_file):
         path = fixture_file("p.pd", fixtures.pseudotref().to_pd_text())

@@ -2,8 +2,8 @@ from functools import cached_property
 
 import pytest
 
-from turaev import cli, fixtures
-from turaev.pdcore import DiagramError, Refused, is_alternating, parse_pd
+from turaev import cli, corpus, fixtures
+from turaev.pdcore import DiagramError, PlanarDiagram, Refused, is_alternating, parse_pd
 from turaev.states import build_turaev_complex
 from turaev.surfcheck import (
     SurfaceDiagram,
@@ -12,28 +12,44 @@ from turaev.surfcheck import (
     homology_rank_check,
     is_reduced,
     parse_surface,
-    surface_genus,
     two_intersection_loops,
-    vertex_coboundary_span,
 )
+
+import oracles
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 PSEUDOTREF = parse_pd("X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]")
 CLASP2 = parse_pd("X[1,2,3,4] X[3,2,1,4]")
 
 
+def square_grid(m: int, n: int) -> SurfaceDiagram:
+    """The alternating m x n square grid on the torus (m, n even).
+
+    Its shortest non-separating loop runs along a row or a column of
+    faces and meets min(m, n) edges.
+    """
+    h = lambda i, j: 1 + (i % m) * n + (j % n)
+    v = lambda i, j: 1 + m * n + (i % m) * n + (j % n)
+    rows = []
+    for i in range(m):
+        for j in range(n):
+            ccw = [h(i, j), v(i, j), h(i, j - 1), v(i - 1, j)]
+            rows.append(ccw if (i + j) % 2 == 0 else ccw[1:] + ccw[:1])
+    return SurfaceDiagram.from_rows(rows)
+
+
 class TestSurfaceGenus:
     def test_planar_lift_zero(self):
-        assert surface_genus(SurfaceDiagram.from_planar(TREFOIL)) == 0
+        assert SurfaceDiagram.from_planar(TREFOIL).genus == 0
 
     def test_clasp2_complex_torus(self):
         s = from_turaev_complex(build_turaev_complex(CLASP2))
-        assert surface_genus(s) == 1
+        assert s.genus == 1
 
     def test_torusgrid(self):
         tg = fixtures.torusgrid()
         assert tg.n == 16
-        assert surface_genus(tg) == 1
+        assert tg.genus == 1
         assert is_alternating(tg)
         assert is_reduced(tg)
 
@@ -98,19 +114,34 @@ class TestHayashi:
             assert result.value == 2
             assert result.certified
 
-    def test_torusgrid_at_least_three(self):
+    def test_torusgrid_four(self):
         result = hayashi_complexity(fixtures.torusgrid())
-        assert result.value is not None and result.value >= 3
-        assert not result.certified  # upper-bound marker
+        assert result.value == 4
+        assert result.certified
+
+    def test_matches_dual_dfs_oracle(self, random_rows):
+        checked = 0
+        for d in corpus.exhaustive(5) + [PlanarDiagram(rows) for rows in random_rows]:
+            if d.genus == 0:
+                continue
+            s = from_turaev_complex(build_turaev_complex(d))
+            try:
+                result = hayashi_complexity(s)
+            except Refused:  # a kinked diagram's surface is not reduced
+                continue
+            assert result.value == oracles.hayashi_by_dual_dfs(s), d.to_pd_text()
+            checked += 1
+        assert checked >= 100
+        tg = fixtures.torusgrid()
+        assert hayashi_complexity(tg).value == oracles.hayashi_by_dual_dfs(tg) == 4
+        for m, n in ((2, 4), (4, 6), (6, 6), (6, 8)):
+            s = square_grid(m, n)
+            assert is_alternating(s) and s.genus == 1
+            assert hayashi_complexity(s).value == oracles.hayashi_by_dual_dfs(s) == min(m, n)
 
     def test_genus_zero_refused(self):
         with pytest.raises(Refused):
             hayashi_complexity(SurfaceDiagram.from_planar(TREFOIL))
-
-    def test_max_len_limits_search(self):
-        result = hayashi_complexity(fixtures.torusgrid(), max_len=2)
-        assert result.value is None
-        assert not result.certified
 
 
 class TestFromComplex:
@@ -142,14 +173,14 @@ class TestCachedSpan:
         return log
 
     def test_check_builds_the_span_once(self, span_builds):
-        out = cli._check_worker(PSEUDOTREF.to_pd_text(), from_turaev=True, max_dual_len=None)
+        out = cli._check_worker(PSEUDOTREF.to_pd_text(), from_turaev=True)
         assert out["verdict"] == "loop-found"
         assert out["hayashi"]["complexity"] == 2
         assert len(span_builds) == 1
 
     def test_readers_share_the_cached_span(self):
         s = fixtures.torusgrid()
-        assert vertex_coboundary_span(s) is s.vertex_span
+        assert s.vertex_span is s.vertex_span
         assert s.vertex_span.rank == s.n - 1
         assert dict(s.edge_index) == {lab: i for i, lab in enumerate(s.edge_labels)}
         with pytest.raises(TypeError):

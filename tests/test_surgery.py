@@ -179,7 +179,7 @@ class TestConcentric:
             CompositeCircle((1, 2), (0, 1), ((0,), (1, 2, 3))),
             CompositeCircle((3, 4), (2, 3), ((0, 1), (2, 3))),
         )
-        witness = certify_concentric(circles, 4)
+        witness = certify_concentric(circles)
         assert len(witness) == 2
 
     def test_side_by_side_rejected(self):
@@ -191,7 +191,7 @@ class TestConcentric:
             CompositeCircle((5, 6), (4, 5), ((2,), (0, 1, 3))),
         )
         with pytest.raises(DiagramError):
-            certify_concentric(circles, 4)
+            certify_concentric(circles)
 
 
 class TestReduceLadder:
