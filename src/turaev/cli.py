@@ -26,7 +26,6 @@ from .pdcore import (
     DiagramError,
     PlanarDiagram,
     Refused,
-    composite_circles,
     is_alternating,
     is_prime,
     parse_pd,
@@ -103,7 +102,7 @@ def _classify_worker(text: str) -> dict:
         d = parse_pd(text)
     except DiagramError as exc:
         return {"error": str(exc)}
-    if composite_circles(d):
+    if not is_prime(d):
         return {"refused": "composite"}
     g = states.turaev_genus(d)
     if g == 1:

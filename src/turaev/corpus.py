@@ -25,7 +25,8 @@ face boundary meets them. The face lies to the right of its boundary
 walk, so that is reverse walk order: one arrangement per cut pair (its
 one-slot rotation is the same projection). A kink's loop joins two
 adjacent stubs and lies on either side of the cut edge: two
-arrangements. Every other cyclic order makes two new edges cross.
+arrangements. Every other cyclic order makes two new edges cross inside
+that face.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from .pdcore import DiagramError, PlanarDiagram, canonical_rows
+from .pdcore import DiagramError, PlanarDiagram, canonical_rows, is_prime, sigma
 
 Rows = tuple[tuple[int, int, int, int], ...]
 
@@ -139,12 +140,54 @@ def exhaustive(max_crossings: int) -> list[PlanarDiagram]:
     return out
 
 
+def _planar_draw(d: PlanarDiagram, darts: tuple[int, ...], row: tuple[int, int, int, int]) -> bool:
+    """Whether ``_grown(d, darts, row)`` is planar, without building it.
+
+    The insertion keeps the diagram connected, so it is planar exactly when
+    it adds one face (Euler's formula). Only the faces through the cut
+    darts change. Their new walks are counted on the cut darts and the new
+    crossing's darts alone: the stretch of an old walk between two cut
+    darts stays as it was. Other arrangements than the ones ``child_rows``
+    writes can be planar, for instance when the two cut edges meet at a
+    crossing, so the count decides every draw.
+    """
+    alpha, new = d.alpha, 4 * d.n
+    ends = [x for u in darts for x in (u, alpha[u])]  # stub k+1 is ends[k]
+    partner: dict[int, int] = {}  # the new edge pairing on the changed darts
+    loop = []
+    for s, k in enumerate(row):
+        if k <= len(ends):
+            partner[new + s], partner[ends[k - 1]] = ends[k - 1], new + s
+        else:
+            loop.append(new + s)
+    if loop:  # a kink's loop joins two slots of the new crossing
+        a, b = loop
+        partner[a], partner[b] = b, a
+
+    def step(x: int) -> int:
+        y = sigma(partner[x])
+        while y not in partner:
+            y = sigma(alpha[y])
+        return y
+
+    seen: set[int] = set()
+    walks = 0
+    for start in partner:
+        if start not in seen:
+            walks += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = step(x)
+    return walks == len({d.face_of_dart[x] for x in ends}) + 1
+
+
 def random_diagram(rng: random.Random, n_crossings: int) -> PlanarDiagram:
     """A random connected diagram grown by seeded random insertions.
 
     Each step draws a face, two boundary positions (or one edge for a
     kink), and one of the 12 stub arrangements, retrying until the result
-    is planar.
+    is planar; only the accepted diagram is built and validated.
     """
     if n_crossings < 1:
         raise DiagramError("need at least one crossing")
@@ -162,10 +205,9 @@ def random_diagram(rng: random.Random, n_crossings: int) -> PlanarDiagram:
             if d.label(darts[0]) == d.label(darts[1]):
                 continue
             draws = _CUT_PAIR_DRAWS
-        try:
-            d = PlanarDiagram.from_rows(_grown(d, darts, draws[rng.randrange(len(draws))]))
-        except DiagramError:
-            continue
+        row = draws[rng.randrange(len(draws))]
+        if _planar_draw(d, darts, row):
+            d = PlanarDiagram.from_rows(_grown(d, darts, row))
     return d
 
 
@@ -184,8 +226,6 @@ def random_prime_diagrams(
 ) -> list[PlanarDiagram]:
     """Seeded prime connected diagrams, rejection-sampled; ``require`` can
     filter further (e.g. non-alternating)."""
-    from .pdcore import is_prime
-
     rng = random.Random(seed)
     out = []
     while len(out) < count:

@@ -22,8 +22,8 @@ from .pdcore import (
     DiagramError,
     PlanarDiagram,
     Refused,
-    composite_circles,
     is_alternating,
+    is_prime,
     non_alternating_edges,
 )
 from .states import INADEQUATE, loop_crossings, turaev_genus
@@ -342,7 +342,7 @@ def almost_alternating_form(
     """
     if not diagram.is_connected:
         raise Refused("disconnected diagram")
-    if composite_circles(diagram):
+    if not is_prime(diagram):
         raise Refused("composite diagram")
     if turaev_genus(diagram) != 1:
         raise Refused("Turaev genus is not one")

@@ -494,45 +494,67 @@ def switch_crossing(diagram: PlanarDiagram, c: int) -> PlanarDiagram:
 
 
 def composite_circles(diagram: PlanarDiagram) -> tuple[CompositeCircle, ...]:
-    """All composite circles, one per qualifying unordered edge pair.
+    """All composite circles, one per pair of edges sharing two faces.
 
-    A pair of distinct edges lying together on two common faces determines
-    a simple loop crossing exactly those edges; it is composite when the
-    crossings split into two non-empty sides, i.e. the pair is a 2-edge
-    cut. The degenerate single-edge case (a face on both sides of one
-    edge) is searched too, but a 4-valent graph has no bridges, so it
-    cannot separate.
+    Two distinct edges lying together on two common faces determine a
+    simple loop through both faces crossing exactly those edges, and every
+    such loop is composite: it splits the crossings into two non-empty
+    connected sides. Each side holds one end of each edge, so it is not
+    empty. A part of one side cut off from both ends would be a separate
+    component of the diagram, and a part holding one end only would have
+    odd degree sum (4 per crossing, 2 per inner edge, 1 per end). The
+    circles are sorted by edge pair; ``sides[0]`` holds crossing 0.
     """
     return diagram.composite_circles
 
 
 def _composite_circles(diagram: PlanarDiagram) -> tuple[CompositeCircle, ...]:
+    """The circles' sides come from one union-find over the diagram minus
+    every face-pair edge: the classes (blocks) and those edges form a
+    graph in which each circle's two edges separate the blocks of one side
+    from the other."""
     if not diagram.is_connected:
         raise DiagramError("composite circles are defined for connected diagrams")
+    pairs = diagram.face_pair_edges
+    if not pairs:
+        return ()
+    ed = diagram.edge_darts
+    cut = {lab for labs in pairs.values() for lab in labs}
+    blocks = _crossing_classes(diagram.n, ((d1 >> 2, d2 >> 2) for lab, (d1, d2) in ed.items() if lab not in cut))
+    block_of = [0] * diagram.n
+    for b, group in enumerate(blocks):
+        for c in group:
+            block_of[c] = b
+    links: list[list[tuple[int, int]]] = [[] for _ in blocks]
+    for lab in cut:
+        b1, b2 = block_of[ed[lab][0] >> 2], block_of[ed[lab][1] >> 2]
+        links[b1].append((lab, b2))
+        links[b2].append((lab, b1))
     out = []
-    for faces, labs in diagram.face_pair_edges.items():
+    for faces, labs in pairs.items():
         for e1, e2 in combinations(labs, 2):
-            sides = _cut_sides(diagram, e1, e2)
-            if sides is not None:
-                out.append(CompositeCircle((e1, e2), faces, sides))
+            reached = [False] * len(blocks)
+            reached[block_of[0]] = True
+            stack = [block_of[0]]
+            while stack:
+                for lab, b in links[stack.pop()]:
+                    if not reached[b] and lab != e1 and lab != e2:
+                        reached[b] = True
+                        stack.append(b)
+            side0 = tuple(c for c in range(diagram.n) if reached[block_of[c]])
+            side1 = tuple(c for c in range(diagram.n) if not reached[block_of[c]])
+            out.append(CompositeCircle((e1, e2), faces, (side0, side1)))
     out.sort(key=lambda cc: cc.edges)
     return tuple(out)
 
 
-def _cut_sides(
-    diagram: PlanarDiagram, e1: int, e2: int
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Crossing partition from deleting edges e1, e2, or None if connected."""
-    links = ((d1 >> 2, d2 >> 2) for lab, (d1, d2) in diagram.edge_darts.items() if lab not in (e1, e2))
-    groups = _crossing_classes(diagram.n, links)
-    if len(groups) != 2:
-        return None
-    side1, side2 = groups
-    return tuple(side1), tuple(side2)
-
-
 def is_prime(diagram: PlanarDiagram) -> bool:
-    return not diagram.composite_circles
+    """True when no composite circle exists, i.e. no two distinct edges
+    share two faces; see ``composite_circles`` for why every such pair is
+    composite. Reads the face pairs only, without building sides."""
+    if not diagram.is_connected:
+        raise DiagramError("composite circles are defined for connected diagrams")
+    return not diagram.face_pair_edges
 
 
 # -- canonical form --------------------------------------------------------

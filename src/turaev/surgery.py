@@ -18,18 +18,17 @@ bigon of that kind would exhibit a composite circle. The deterministic
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .pdcore import (
-    BLACK,
-    Coloring,
     CompositeCircle,
     DiagramError,
     PlanarDiagram,
     Refused,
-    checkerboard,
     composite_circles,
     is_alternating,
+    is_prime,
+    sigma,
 )
 from .states import turaev_genus
 
@@ -116,7 +115,7 @@ def _require_surgery_input(diagram: PlanarDiagram) -> None:
         raise Refused("disconnected diagram")
     if is_alternating(diagram):
         raise Refused("alternating diagram has no cutting arcs")
-    if composite_circles(diagram):
+    if not is_prime(diagram):
         raise Refused("composite diagram")
 
 
@@ -234,63 +233,118 @@ def certify_concentric(circles: tuple[CompositeCircle, ...]) -> tuple[tuple[int,
     """A chain of sides witnessing that the circles are concentric.
 
     Chooses one crossing side per circle so the chosen sides are totally
-    ordered by inclusion. Raises DiagramError when no choice works.
+    ordered by inclusion, and lists them innermost first. Of all such
+    choices it takes the one whose choice vector (0 for ``sides[0]``, 1 for
+    ``sides[1]``, circle by circle) is lexicographically smallest. A chain
+    exists iff, for some crossing x, the sides containing x form a chain:
+    every side of a chain contains the crossings of its innermost side. So
+    the choices to test are the side vectors of the crossings. Raises
+    DiagramError when no crossing's sides form a chain.
     """
     if not circles:
         return ()
-    k = len(circles)
-    if k > 16:
-        raise DiagramError("too many composite circles to certify by search")
-    side_sets = [(frozenset(c.sides[0]), frozenset(c.sides[1])) for c in circles]
-    for choice in product((0, 1), repeat=k):
-        chosen = sorted((side_sets[i][choice[i]] for i in range(k)), key=len)
-        if all(chosen[i] <= chosen[i + 1] for i in range(k - 1)):
-            ordered = sorted(range(k), key=lambda i: len(side_sets[i][choice[i]]))
-            return tuple(tuple(sorted(side_sets[i][choice[i]])) for i in ordered)
-    raise DiagramError("composite circles are not concentric")
+    masks = [(_crossing_mask(c.sides[0]), _crossing_mask(c.sides[1])) for c in circles]
+    tried = set()
+    best: tuple[int, ...] | None = None
+    for x in sorted({x for c in circles for side in c.sides for x in side}):
+        choice = tuple(0 if m0 >> x & 1 else 1 for m0, _ in masks)
+        if choice in tried or (best is not None and choice > best):
+            continue
+        tried.add(choice)
+        chosen = sorted((masks[i][choice[i]] for i in range(len(circles))), key=int.bit_count)
+        if all(inner & ~outer == 0 for inner, outer in zip(chosen, chosen[1:])):
+            best = choice
+    if best is None:
+        raise DiagramError("composite circles are not concentric")
+    ordered = sorted(range(len(circles)), key=lambda i: len(circles[i].sides[best[i]]))
+    return tuple(tuple(sorted(circles[i].sides[best[i]])) for i in ordered)
 
 
-def _black_face_of_circle(
-    diagram: PlanarDiagram, coloring: Coloring, circle: CompositeCircle
-) -> int:
-    f1, f2 = circle.faces
-    if coloring.color(f1) == BLACK:
-        return f1
-    if coloring.color(f2) == BLACK:
-        return f2
-    raise DiagramError("composite circle has no black face")
+def _crossing_mask(crossings) -> int:
+    """Bitmask with bit x set for each crossing x."""
+    return sum(1 << x for x in set(crossings))
 
 
-def _surger_composite(
-    diagram: PlanarDiagram, coloring: Coloring, circle: CompositeCircle
-) -> tuple[list[tuple[PlanarDiagram, Coloring]], AttachingEdge]:
-    """Surger along the black arc of a composite circle and split the
-    disconnected result into components with their induced colorings."""
-    face = _black_face_of_circle(diagram, coloring, circle)
-    walk = diagram.faces[face].darts
-    positions = [i for i, d in enumerate(walk) if diagram.label(d) in circle.edges]
-    if len(positions) != 2:
-        raise DiagramError("composite circle edges not found on its black face")
-    result, attaching = surger_arc(diagram, face, positions[0], positions[1])
-    if result.is_connected:
-        raise DiagramError("surgery along a composite circle must disconnect")
-    comps = split_components(result)
-    out = []
-    for comp, old_to_new in comps:
-        # The merged face of the surgery is white; anchor on whichever new
-        # edge this component received.
-        anchor = None
-        for (c, s), lab in zip(attaching.darts, attaching.new_edges):
-            d = 4 * c + s
-            if d in old_to_new:
-                nd = old_to_new[d]
-                anchor = comp.face_of_dart[nd]
-                break
-        if anchor is None:
-            raise DiagramError("component lost both attaching edges")
-        col = checkerboard(comp, black_face=anchor).swapped()
-        out.append((comp, col))
-    return out, attaching
+def _dart_mask(crossings) -> int:
+    """Bitmask with the four dart bits of each crossing set."""
+    return sum(15 << 4 * c for c in set(crossings))
+
+
+class _DartTable:
+    """The labels and edge pairing of one diagram's darts, surgered in place.
+
+    A piece is a set of crossings held as a dart bitmask (four bits per
+    crossing). The table numbers a piece's crossings and faces as
+    ``PlanarDiagram.from_rows`` would number the piece's own rows: crossings
+    in ascending order, faces by their smallest dart, whose bits
+    ``face_min`` keeps.
+    """
+
+    def __init__(self, diagram: PlanarDiagram):
+        self.labels = [lab for row in diagram.crossings for lab in row]
+        self.alpha = list(diagram.alpha)
+        self.face_min = sum(1 << f.darts[0] for f in diagram.faces)
+        self.everything = (1 << diagram.n_darts) - 1
+
+    def _walk(self, d: int) -> list[int]:
+        alpha = self.alpha
+        walk = [d]
+        x = sigma(alpha[d])
+        while x != d:
+            walk.append(x)
+            x = sigma(alpha[x])
+        return walk
+
+    def cut(self, piece: int, side: int, top: int, da: int, db: int) -> tuple[AttachingEdge, list[tuple[int, int]]]:
+        """Surger ``piece`` along the arc joining the edges of darts da and
+        db inside the face of da, as ``surger_arc`` would on the piece's
+        own diagram whose largest label is ``top``, and split it into
+        ``piece & side`` and the rest.
+
+        Returns the attaching record, in the piece's numbering, and the two
+        parts with their largest labels, the part holding the piece's
+        smallest crossing first.
+        """
+        labels, alpha = self.labels, self.alpha
+        walk = self._walk(da)
+        if db not in walk:
+            raise DiagramError("composite circle edges not found on its black face")
+        # surger_arc orders the darts by their position in the face walk,
+        # which starts at the face's smallest dart.
+        m = min(walk)
+        start = walk.index(m)
+        if (walk.index(db) - start) % len(walk) < -start % len(walk):
+            da, db = db, da
+        u1, u2 = da, db
+        a1, a2 = alpha[u1], alpha[u2]
+        fx, fy = top + 1, top + 2
+        face = (self.face_min & piece & ((1 << m) - 1)).bit_count()
+        attaching = AttachingEdge((fx, fy), (self._at(piece, a1), self._at(piece, a2)), (labels[u1], labels[u2]), face)
+        # The new edges join a1 to u2 and u1 to a2; each must stay on its
+        # side of the circle, which every cut edge crosses.
+        inner, outer = piece & side, piece & ~side
+        in_u1, in_u2, in_a1, in_a2 = (inner >> d & 1 for d in (u1, u2, a1, a2))
+        if not (inner and outer and in_u1 == in_a2 != in_a1 == in_u2):
+            raise DiagramError("surgery along a composite circle must disconnect")
+        self.face_min &= ~(1 << m | 1 << min(self._walk(a1)))
+        alpha[a1], alpha[u2], alpha[u1], alpha[a2] = u2, a1, a2, u1
+        labels[a1] = labels[u2] = fx
+        labels[u1] = labels[a2] = fy
+        for d in (u1, u2, a1, a2):
+            self.face_min |= 1 << min(self._walk(d))
+        parts = [(inner, fy if in_u1 else fx), (outer, fx if in_u1 else fy)]
+        if not inner & piece & -piece:  # piece & -piece: its smallest dart
+            parts.reverse()
+        return attaching, parts
+
+    def _at(self, piece: int, d: int) -> tuple[int, int]:
+        """(crossing, slot) of dart d in the piece's own numbering."""
+        return (piece & ((1 << (d & ~3)) - 1)).bit_count() >> 2, d & 3
+
+    def diagram(self, piece: int) -> PlanarDiagram:
+        labels = self.labels
+        rows = [labels[d : d + 4] for d in range(0, len(labels), 4) if piece >> d & 1]
+        return PlanarDiagram.from_rows(rows)
 
 
 def split_components(
@@ -317,6 +371,18 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
     a black face) has concentric composite circles; surgering along the
     black arc of each leaves prime components whose genera sum to one less
     than the input genus. All of that is asserted, not assumed.
+
+    The circles are cut one piece at a time, last piece first and in each
+    piece along its circle of smallest edge pair, and every record is
+    written in the numbering of the piece it cuts. A cut keeps the color
+    of every corner, so one coloring of the intermediate serves all
+    pieces. The composite circles of a piece are the uncut circles of the
+    intermediate inside it: concentric circles lie in distinct face pairs,
+    so each lies on one side of another, and a two-edge cut of a piece
+    through an edge made by a cut would put three edges into one face
+    pair of the intermediate. So the pieces left without circles are
+    prime. The cuts run over one dart table, and only those final pieces
+    are built as diagrams.
     """
     _require_surgery_input(diagram)
     g = diagram.genus
@@ -330,28 +396,37 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
         raise DiagramError("cutting-arc surgery must split the all-B circle")
     if intermediate.genus != g - 1:
         raise DiagramError("cutting-arc surgery must lower the genus by one")
-    # Induced coloring: the merged face (right of the first attaching dart)
-    # is white.
-    c, s = attaching.darts[0]
-    inter_coloring = checkerboard(
-        intermediate, black_face=intermediate.face_of_dart[4 * c + s]
-    ).swapped()
     circles = composite_circles(intermediate)
     witness = certify_concentric(circles)
-    pending = [(intermediate, inter_coloring)]
     finals: list[PlanarDiagram] = []
     used_attachings: list[AttachingEdge] = []
-    while pending:
-        cur, col = pending.pop()
-        cur_circles = composite_circles(cur)
-        if not cur_circles:
-            finals.append(cur)
-            continue
-        pieces, att = _surger_composite(cur, col, cur_circles[0])
-        used_attachings.append(att)
-        pending.extend(pieces)
+    if not circles:
+        finals.append(intermediate)
+    else:
+        # Induced coloring: the merged face (right of the first attaching
+        # dart) is white.
+        c, s = attaching.darts[0]
+        col, fod = intermediate.coloring, intermediate.face_of_dart
+        white = col.color(fod[4 * c + s])
+        black = [col.color(f) != white for f in fod]
+        table = _DartTable(intermediate)
+        pending = [(table.everything, max(intermediate.edge_labels), circles)]
+        while pending:
+            piece, top, cur_circles = pending.pop()
+            if not cur_circles:
+                finals.append(table.diagram(piece))
+                continue
+            circle = cur_circles[0]
+            da, db = (_black_dart(intermediate, black, e) for e in circle.edges)
+            att, parts = table.cut(piece, _dart_mask(circle.sides[0]), top, da, db)
+            used_attachings.append(att)
+            for part, part_top in parts:
+                rest = tuple(cc for cc in cur_circles[1:] if part >> intermediate.edge_darts[cc.edges[0]][0] & 1)
+                pending.append((part, part_top, rest))
     finals.sort(key=lambda d: d.crossings)
-    total = sum(turaev_genus(f) for f in finals)
+    # An alternating diagram has Turaev genus 0: its all-A and all-B
+    # circles bound the faces of one color each.
+    total = sum(0 if is_alternating(f) else turaev_genus(f) for f in finals)
     if total != g - 1:
         raise DiagramError(f"component genera sum to {total}, expected {g - 1}")
     return SplitStep(
@@ -364,6 +439,16 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
         tuple(finals),
         tuple(used_attachings),
     )
+
+
+def _black_dart(diagram: PlanarDiagram, black: list[bool], edge: int) -> int:
+    """The dart of ``edge`` whose face is black."""
+    d1, d2 = diagram.edge_darts[edge]
+    if black[d1]:
+        return d1
+    if black[d2]:
+        return d2
+    raise DiagramError("composite circle has no black face")
 
 
 # -- the reduction ladder -----------------------------------------------------
@@ -416,12 +501,14 @@ class ReductionLadder:
 
 
 def _factor_composite(diagram: PlanarDiagram) -> tuple[tuple[PlanarDiagram, ...], tuple[AttachingEdge, ...]]:
-    """Split a composite diagram along one composite circle."""
-    circles = composite_circles(diagram)
-    circle = circles[0]
-    coloring = checkerboard(diagram, black_face=min(circle.faces))
-    pieces, att = _surger_composite(diagram, coloring, circle)
-    return tuple(p for p, _ in pieces), (att,)
+    """Split a composite diagram along its circle of smallest edge pair,
+    surgering inside the circle's face of smaller id."""
+    circle = composite_circles(diagram)[0]
+    face = min(circle.faces)
+    da, db = (next(d for d in diagram.edge_darts[e] if diagram.face_of_dart[d] == face) for e in circle.edges)
+    table = _DartTable(diagram)
+    att, parts = table.cut(table.everything, _dart_mask(circle.sides[0]), max(diagram.edge_labels), da, db)
+    return tuple(table.diagram(part) for part, _ in parts), (att,)
 
 
 def reduce_ladder(diagram: PlanarDiagram) -> ReductionLadder:
@@ -440,7 +527,7 @@ def reduce_ladder(diagram: PlanarDiagram) -> ReductionLadder:
         if is_alternating(cur):
             terminals.append(cur)
             continue
-        if composite_circles(cur):
+        if not is_prime(cur):
             pieces, atts = _factor_composite(cur)
             steps.append(LadderStep("factor", cur, None, atts, pieces))
             pending.extend(pieces)

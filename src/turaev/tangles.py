@@ -29,9 +29,9 @@ from .pdcore import (
     Refused,
     _crossing_classes,
     checkerboard,
-    composite_circles,
     crossing_signs,
     edge_alternation,
+    is_prime,
 )
 from .states import turaev_genus
 from . import surgery
@@ -235,7 +235,7 @@ def classify_genus_one(diagram: PlanarDiagram) -> CycleStructure:
     genus one."""
     if not diagram.is_connected:
         raise DiagramError("classification requires a connected diagram")
-    if composite_circles(diagram):
+    if not is_prime(diagram):
         raise Refused("composite diagram")
     dec = decompose(diagram)
     if dec.alternating:
@@ -483,7 +483,7 @@ def gen_cycle_info(
     diagram, junctions = assemble_ring(payloads)
     if turaev_genus(diagram) != 1:
         raise DiagramError("generated cycle does not have genus one")
-    if composite_circles(diagram):
+    if not is_prime(diagram):
         raise DiagramError("generated cycle is not prime")
     return diagram, junctions
 
@@ -790,7 +790,7 @@ def classify_genus_two(diagram: PlanarDiagram) -> Genus2Descriptor:
     """
     if not diagram.is_connected:
         raise DiagramError("classification requires a connected diagram")
-    if composite_circles(diagram):
+    if not is_prime(diagram):
         raise Refused("composite diagram")
     g = turaev_genus(diagram)
     if g != 2:
@@ -941,6 +941,6 @@ def gen_genus2(recipe: Genus2Recipe) -> PlanarDiagram:
     g = turaev_genus(result)
     if g != 2:
         raise DiagramError(f"recipe produced genus {g}, not 2")
-    if composite_circles(result):
+    if not is_prime(result):
         raise DiagramError("recipe produced a composite diagram")
     return result

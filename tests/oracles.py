@@ -281,3 +281,103 @@ def hayashi_by_dual_dfs(s) -> int | None:
             break
         dfs(root, root, {root}, 0, 0)
     return best
+
+
+def composite_circles_by_cut_pairs(diagram):
+    """Composite circles by one union-find per edge pair of each face pair:
+    the pair is kept when deleting its two edges leaves exactly two crossing
+    classes.
+
+    The reference for ``pdcore.composite_circles``, which takes every face
+    pair's edge pair as composite and reads all sides off one union-find.
+    """
+    from itertools import combinations
+
+    from turaev.pdcore import CompositeCircle
+
+    out = []
+    for faces, labs in diagram.face_pair_edges.items():
+        for e1, e2 in combinations(labs, 2):
+            uf = UnionFind(diagram.n)
+            for lab, (d1, d2) in diagram.edge_darts.items():
+                if lab not in (e1, e2):
+                    uf.union(d1 >> 2, d2 >> 2)
+            groups: dict[int, list[int]] = {}
+            for c in range(diagram.n):
+                groups.setdefault(uf.find(c), []).append(c)
+            if len(groups) == 2:
+                side0, side1 = sorted(groups.values())
+                out.append(CompositeCircle((e1, e2), faces, (tuple(side0), tuple(side1))))
+    out.sort(key=lambda cc: cc.edges)
+    return tuple(out)
+
+
+def certify_concentric_by_search(circles):
+    """The side chain of ``surgery.certify_concentric`` by trying all 2^k
+    side choices in lexicographic order; exponential in the number of
+    circles."""
+    from itertools import product
+
+    from turaev.pdcore import DiagramError
+
+    k = len(circles)
+    side_sets = [(frozenset(c.sides[0]), frozenset(c.sides[1])) for c in circles]
+    for choice in product((0, 1), repeat=k):
+        chosen = sorted((side_sets[i][choice[i]] for i in range(k)), key=len)
+        if all(chosen[i] <= chosen[i + 1] for i in range(k - 1)):
+            ordered = sorted(range(k), key=lambda i: len(side_sets[i][choice[i]]))
+            return tuple(tuple(sorted(side_sets[i][choice[i]])) for i in ordered)
+    raise DiagramError("composite circles are not concentric")
+
+
+def split_by_sequential_peel(intermediate, attaching):
+    """Components and attaching records of ``surgery.split_step`` by
+    peeling one composite circle at a time.
+
+    Each piece is re-built as a diagram after every cut, its composite
+    circles are recomputed, and the piece is re-coloured from the merged
+    face of the cut; the circle of smallest edge pair is cut next, last
+    piece first, until every piece is prime. ``attaching`` is the record
+    of the cutting-arc surgery that made ``intermediate``.
+    """
+    from turaev.pdcore import BLACK, DiagramError, checkerboard, composite_circles
+    from turaev.surgery import split_components, surger_arc
+
+    def surger_composite(diagram, coloring, circle):
+        f1, f2 = circle.faces
+        face = f1 if coloring.color(f1) == BLACK else f2
+        if coloring.color(face) != BLACK:
+            raise DiagramError("composite circle has no black face")
+        walk = diagram.faces[face].darts
+        positions = [i for i, d in enumerate(walk) if diagram.label(d) in circle.edges]
+        if len(positions) != 2:
+            raise DiagramError("composite circle edges not found on its black face")
+        result, att = surger_arc(diagram, face, positions[0], positions[1])
+        if result.is_connected:
+            raise DiagramError("surgery along a composite circle must disconnect")
+        pieces = []
+        for comp, old_to_new in split_components(result):
+            anchor = next(
+                comp.face_of_dart[old_to_new[4 * c + s]]
+                for c, s in att.darts
+                if 4 * c + s in old_to_new
+            )
+            pieces.append((comp, checkerboard(comp, black_face=anchor).swapped()))
+        return pieces, att
+
+    c, s = attaching.darts[0]
+    coloring = checkerboard(intermediate, black_face=intermediate.face_of_dart[4 * c + s]).swapped()
+    pending = [(intermediate, coloring)]
+    finals = []
+    attachings = []
+    while pending:
+        cur, col = pending.pop()
+        circles = composite_circles(cur)
+        if not circles:
+            finals.append(cur)
+            continue
+        pieces, att = surger_composite(cur, col, circles[0])
+        attachings.append(att)
+        pending.extend(pieces)
+    finals.sort(key=lambda d: d.crossings)
+    return tuple(finals), tuple(attachings)

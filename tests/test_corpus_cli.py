@@ -199,6 +199,21 @@ class TestCliReduce:
         code, out, _ = run_cli(capsys, "reduce", path)
         assert code == 2
 
+    def test_more_than_sixteen_composite_circles(self, capsys, fixture_file):
+        # The intermediate diagram of the first cut has 19 concentric
+        # composite circles.
+        from test_surgery import NESTED_19
+
+        from turaev.pdcore import is_alternating
+
+        path = fixture_file("nested.pd", NESTED_19)
+        code, out, _ = run_cli(capsys, "reduce", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["cutSteps"] == parse_pd(NESTED_19).genus
+        assert doc["allTerminalsAlternating"] is True
+        assert all(is_alternating(parse_pd(t)) for t in doc["terminals"])
+
 
 class TestCliCorpus:
     def test_deterministic_manifest(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
 from turaev import fixtures
+from turaev.corpus import random_prime_diagrams
 from turaev.pdcore import (
     DiagramError,
     PlanarDiagram,
@@ -24,6 +25,8 @@ from turaev.surgery import (
     surger_arc,
     surger_cutting_arc,
 )
+
+import oracles
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 PSEUDOTREF = parse_pd("X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]")
@@ -81,7 +84,7 @@ class TestOutermostBigonArc:
 
         d = parse_pd("X[1,1,2,3] X[2,4,4,5] X[6,3,7,6] X[7,5,8,8]")
         assert composite_circles(d)
-        monkeypatch.setattr(surgery_mod, "composite_circles", lambda _d: ())
+        monkeypatch.setattr(surgery_mod, "is_prime", lambda _d: True)
         with pytest.raises(DiagramError, match="no empty bigon"):
             outermost_bigon_arc(d)
 
@@ -193,6 +196,34 @@ class TestConcentric:
         with pytest.raises(DiagramError):
             certify_concentric(circles)
 
+    def test_long_nested_chain_certified(self):
+        # 20 nested circles around crossings 0..20; circle i separates
+        # 0..i from i+1..20, with the side holding crossing 20 listed first
+        # on every even circle. Only crossings 0 and 20 see a chain, and
+        # crossing 20's choice vector (0, 1, 0, 1, ...) is the smaller.
+        from turaev.pdcore import CompositeCircle
+
+        n = 20
+        circles = []
+        for i in range(n):
+            inner, outer = tuple(range(i + 1)), tuple(range(i + 1, n + 1))
+            sides = (outer, inner) if i % 2 == 0 else (inner, outer)
+            circles.append(CompositeCircle((2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 1), sides))
+        witness = certify_concentric(tuple(circles))
+        assert witness == tuple(tuple(range(n - i, n + 1)) for i in range(n))
+        assert certify_concentric(tuple(circles[:10])) == oracles.certify_concentric_by_search(tuple(circles[:10]))
+
+    def test_many_side_by_side_rejected(self):
+        from turaev.pdcore import CompositeCircle
+
+        n = 20
+        circles = tuple(
+            CompositeCircle((2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 1), ((i,), tuple(c for c in range(n) if c != i)))
+            for i in range(n)
+        )
+        with pytest.raises(DiagramError, match="composite circles are not concentric"):
+            certify_concentric(circles)
+
 
 class TestReduceLadder:
     def test_trefoil_empty(self):
@@ -239,3 +270,89 @@ class TestSplitStepTraces:
             keys = [(id(x), st) for x, st in traces]
             assert len(keys) == len(set(keys))
             assert sorted(st for x, st in traces if x is d) == [all_a(d), all_b(d)]
+
+
+GOLDEN_FIXTURES = ("kink", "trefoil", "pseudotref", "clasp2", "connsum", "cycle4", "aa6", "gen2a", "gen2b")
+
+# A 20-crossing prime diagram of the prime-mid benchmark whose first
+# intermediate diagram has 19 concentric composite circles.
+NESTED_19 = (
+    "X[1,2,3,4] X[5,3,2,6] X[7,8,9,10] X[11,12,13,14] X[15,16,17,18] X[19,10,9,20] "
+    "X[20,21,22,19] X[23,24,5,6] X[25,26,27,28] X[13,28,27,14] X[29,30,31,32] X[30,29,33,34] "
+    "X[4,35,36,1] X[36,35,15,18] X[24,23,8,7] X[37,38,32,31] X[21,34,33,22] X[12,11,38,37] "
+    "X[17,16,39,40] X[26,25,40,39]"
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus(exhaustive_rows, random_rows):
+    """exhaustive(5), the seeded random corpus, random_prime_diagrams(99,
+    60, 10) and the golden fixtures."""
+    out = [PlanarDiagram(rows) for rows in exhaustive_rows if len(rows) <= 5]
+    out += [PlanarDiagram(rows) for rows in random_rows]
+    out += random_prime_diagrams(99, 60, 10)
+    out += [getattr(fixtures, name)() for name in GOLDEN_FIXTURES]
+    return out
+
+
+def assert_split_matches_peel(d):
+    step = split_step(d)
+    components, attachings = oracles.split_by_sequential_peel(step.intermediate, step.attaching)
+    assert [c.crossings for c in step.components] == [c.crossings for c in components]
+    assert step.component_attachings == attachings
+    return step
+
+
+class TestAgainstOracles:
+    def test_composite_circles_match_cut_pairs(self, oracle_corpus):
+        composite = 0
+        for d in oracle_corpus:
+            circles = composite_circles(d)
+            assert circles == oracles.composite_circles_by_cut_pairs(d)
+            assert is_prime(d) == (not circles)
+            composite += bool(circles)
+        assert composite > 1000
+
+    def test_certify_concentric_matches_search(self, oracle_corpus):
+        compared = 0
+        for d in oracle_corpus:
+            circles = composite_circles(d)
+            if not 1 < len(circles) <= 10:
+                continue
+            try:
+                expected = oracles.certify_concentric_by_search(circles)
+            except DiagramError:
+                with pytest.raises(DiagramError, match="not concentric"):
+                    certify_concentric(circles)
+                continue
+            assert certify_concentric(circles) == expected
+            compared += 1
+        assert compared > 100
+
+    def test_split_step_matches_sequential_peel(self, oracle_corpus):
+        steps = 0
+        for d in oracle_corpus:
+            if not d.is_connected or is_alternating(d) or not is_prime(d):
+                continue
+            step = assert_split_matches_peel(d)
+            circles = step.intermediate_circles
+            assert circles == oracles.composite_circles_by_cut_pairs(step.intermediate)
+            if len(circles) <= 12:
+                assert step.concentric_witness == oracles.certify_concentric_by_search(circles)
+            steps += 1
+        assert steps > 100
+
+    def test_every_ladder_step_matches_sequential_peel(self):
+        for d in random_prime_diagrams(99, 60, 10) + [parse_pd(NESTED_19)]:
+            for s in reduce_ladder(d).steps:
+                if s.kind == "cut":
+                    assert_split_matches_peel(s.diagram)
+
+
+class TestManyCompositeCircles:
+    def test_nineteen_circles_split_in_one_step(self):
+        d = parse_pd(NESTED_19)
+        step = assert_split_matches_peel(d)
+        assert len(step.intermediate_circles) == 19
+        assert step.genus_sum == turaev_genus(d) - 1
+        assert all(is_prime(c) for c in step.components)
