@@ -193,11 +193,7 @@ def _cmd_classify(args) -> int:
             emit = render.decomposition_dot if args.format == "dot" else render.decomposition_svg
             sys.stdout.write(emit(dec, collapse_ribbons=args.collapse_ribbons))
         return code
-    results = _map_files(args.files, _classify_worker, args.jobs)
-    code = _emit(results, args.format)
-    if any("case" in data and data["case"] == "unmatched" for _, data in results):
-        code = max(code, EXIT_VIOLATION)
-    return code
+    return _emit(_map_files(args.files, _classify_worker, args.jobs), args.format)
 
 
 def _cmd_reduce(args) -> int:

@@ -1,1 +1,1 @@
-"""Data files shipped with turaev: the genus-two case table."""
+"""Data files shipped with turaev: the fixture diagrams in ``fixtures/``."""

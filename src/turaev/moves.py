@@ -494,10 +494,7 @@ def core_arc(diagram: PlanarDiagram, c: int) -> surgery.CuttingArc | None:
             result, _ = surgery.surger_arc(diagram, face, pos[0], pos[1])
         except DiagramError:
             continue
-        if not result.is_connected:
-            continue
-        total = sum(turaev_genus(piece) for piece, _ in surgery.split_components(result))
-        if total == g - 1:
+        if result.is_connected and turaev_genus(result) == g - 1:
             scored.append((min(len1, len2), face, pos))
     if not scored:
         raise DiagramError("no side of the loop crossing lowers the genus")

@@ -19,7 +19,7 @@ alternate in sign and no channel edge returns to its own tangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import permutations
 
@@ -34,7 +34,7 @@ from .pdcore import (
     is_prime,
 )
 from .states import turaev_genus
-from . import surgery
+from . import casetable, surgery
 
 
 @dataclass(frozen=True)
@@ -520,8 +520,9 @@ class Genus2Descriptor:
     ``junction_words`` lists, per junction tangle and boundary circle, the
     cyclic sequence of leg annotations ("r", ribbon id, end) or ("s",
     single edge id, 0). ``canonical`` encodes the whole structure, ribbon
-    parities included, and is invariant under relabeling and mirror; the
-    case table keys on it.
+    parities included, and is invariant under relabeling and mirror.
+    ``case_label`` is the genus-two case 1-8 that ``casetable`` reads off
+    this structure, or None before classification.
     """
 
     valences: tuple[int, ...]
@@ -531,23 +532,11 @@ class Genus2Descriptor:
     ribbons: tuple[Ribbon, ...]
     singles: tuple[int, ...]
     canonical: str
-    case_label: int | str | None = None
+    case_label: int | None = None
 
     @property
     def ribbon_parities(self) -> tuple[int, ...]:
         return tuple(r.parity for r in self.ribbons)
-
-    def with_case(self, label: int | str) -> "Genus2Descriptor":
-        return Genus2Descriptor(
-            self.valences,
-            self.non_simply_connected,
-            self.all_two_cycle,
-            self.junction_words,
-            self.ribbons,
-            self.singles,
-            self.canonical,
-            label,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -784,9 +773,9 @@ def _canonical_junction_structure(words, ribbons, dec, junctions) -> str:
 def classify_genus_two(diagram: PlanarDiagram) -> Genus2Descriptor:
     """Assign one of the eight genus-two structure labels.
 
-    Refuses diagrams that are not prime, connected, genus two. A structure
-    outside the case table comes back labeled "unmatched" with its raw
-    descriptor rather than raising.
+    Refuses diagrams that are not prime, connected, genus two. The label
+    is computed from the ribbon structure by ``casetable.lookup_case``; a
+    structure that fits none of the eight cases raises ``DiagramError``.
     """
     if not diagram.is_connected:
         raise DiagramError("classification requires a connected diagram")
@@ -797,9 +786,7 @@ def classify_genus_two(diagram: PlanarDiagram) -> Genus2Descriptor:
         raise Refused(f"Turaev genus is {g}, not 2")
     dec = decompose(diagram)
     descriptor = contract_ribbons(dec)
-    from .casetable import lookup_case
-
-    return descriptor.with_case(lookup_case(descriptor, dec))
+    return replace(descriptor, case_label=casetable.lookup_case(descriptor, dec))
 
 
 # -- genus-two generator -------------------------------------------------------

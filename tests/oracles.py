@@ -381,3 +381,47 @@ def split_by_sequential_peel(intermediate, attaching):
         pending.extend(pieces)
     finals.sort(key=lambda d: d.crossings)
     return tuple(finals), tuple(attachings)
+
+
+# The genus-two case labels as first catalogued: canonical junction
+# structures observed for each family, keyed by their descriptor string.
+_GENUS_TWO_TABLE = {
+    "one-valence-4": {
+        "[v2d:r0.0p0,r0.0p0,s0,s1][v4d:r0.1p0,r0.1p0,s1,r1.0p1,r1.0p1,r1.1p1,r1.1p1,s0]": 3,
+        "[v4d:r0.0p1,r0.0p1,r0.1p1,r0.1p1,r1.0p1,r1.0p1,r1.1p1,r1.1p1]": 1,
+    },
+    "two-valence-3": {
+        "[v3d:r0.0p0,r0.0p0,s0,r1.0p0,r1.0p0,s1][v3d:r0.1p0,r0.1p0,s1,r1.1p0,r1.1p0,s0]": 2,
+        "[v3d:r0.0p0,r0.0p0,s0,s1,s2,s3][v3d:r0.1p0,r0.1p0,s3,s2,s1,s0]": 2,
+        "[v3d:r0.0p1,r0.0p1,r1.0p1,r1.0p1,r2.0p1,r2.0p1][v3d:r0.1p1,r0.1p1,r2.1p1,r2.1p1,r1.1p1,r1.1p1]": 5,
+        "[v3d:s0,s1,s2,s3,s4,s5][v3d:s0,s5,s4,s3,s2,s1]": 2,
+    },
+}
+
+
+def genus_two_case_by_table(diagram) -> int | None:
+    """The genus-two case of a prime genus-two diagram by looking its
+    canonical descriptor up in a table of catalogued structures; None for
+    a structure outside the table.
+
+    The reference for ``casetable.lookup_case``, which computes the label
+    from the ribbon structure instead.
+    """
+    from turaev.tangles import contract_ribbons, decompose
+
+    dec = decompose(diagram)
+    descriptor = contract_ribbons(dec)
+    if descriptor.non_simply_connected:
+        return 4
+    if descriptor.all_two_cycle:
+        return None
+    valences = descriptor.valences
+    if set(valences) == {2}:
+        return 8 if any(len(dec.neighbors(t.id)) >= 4 for t in dec.tangles) else 7
+    if valences.count(4) == 1 and set(valences) <= {2, 4}:
+        family = "one-valence-4"
+    elif valences.count(3) == 2 and set(valences) <= {2, 3}:
+        family = "two-valence-3"
+    else:
+        return None
+    return _GENUS_TWO_TABLE[family].get(descriptor.canonical)

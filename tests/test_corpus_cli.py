@@ -151,6 +151,14 @@ class TestCliClassify:
         assert doc["kind"] == "genus2"
         assert doc["case"] == 1
 
+    def test_case6_exit_0(self, capsys, fixture_file):
+        from test_tangles import CASE6
+
+        path = fixture_file("case6.pd", CASE6)
+        code, out, _ = run_cli(capsys, "classify", path)
+        assert code == 0
+        assert json.loads(out)["case"] == 6
+
     def test_connsum_refused(self, capsys, fixture_file):
         path = fixture_file("c.pd", fixtures.connsum().to_pd_text())
         code, out, _ = run_cli(capsys, "classify", path)

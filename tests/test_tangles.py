@@ -1,8 +1,12 @@
 import random
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from turaev import fixtures
+import oracles
+from turaev import casetable, fixtures
 from turaev.pdcore import (
     DiagramError,
     PlanarDiagram,
@@ -28,6 +32,33 @@ from turaev.tangles import (
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 PSEUDOTREF = parse_pd("X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]")
 CLASP2 = parse_pd("X[1,2,3,4] X[3,2,1,4]")
+
+# The smallest diagrams found for genus-two structures outside the first
+# catalogue of observed descriptors: one valence-4 junction with two
+# valence-2 junctions, a theta of three even ribbons, and a theta of two
+# even ribbons and a direct pair of single edges.
+CASE6 = (
+    "X[1,2,3,4] X[5,6,7,8] X[9,10,11,12] X[13,1,11,14] X[13,6,5,2] "
+    "X[15,16,17,18] X[19,8,7,14] X[15,4,20,16] X[17,9,12,18] X[20,3,19,10]"
+)
+THETA_THREE_EVEN = (
+    "X[1,2,3,4] X[3,5,6,4] X[7,8,9,10] X[11,12,13,5] X[14,15,9,8] X[14,12,11,16] "
+    "X[13,17,18,6] X[19,2,1,20] X[18,17,21,22] X[21,7,10,22] X[19,20,15,16]"
+)
+THETA_DIRECT_PAIR = (
+    "X[1,2,3,4] X[5,6,1,4] X[7,8,9,10] X[11,10,9,12] X[13,6,5,14] "
+    "X[11,12,13,15] X[3,2,16,17] X[8,18,17,16] X[7,15,14,18]"
+)
+
+
+def random_relabel(d: PlanarDiagram, rng: random.Random) -> PlanarDiagram:
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    rots = [rng.choice([0, 2]) for _ in range(d.n)]
+    labs = list(d.edge_labels)
+    shuffled = labs[:]
+    rng.shuffle(shuffled)
+    return relabel(d, perm, rots, dict(zip(labs, shuffled)))
 
 
 class TestDecompose:
@@ -173,13 +204,7 @@ class TestRibbons:
         rng = random.Random(11)
         for d in (fixtures.gen2a(), fixtures.gen2b(), fixtures.gen2_annular()):
             base = contract_ribbons(decompose(d)).canonical
-            perm = list(range(d.n))
-            rng.shuffle(perm)
-            rots = [rng.choice([0, 2]) for _ in range(d.n)]
-            labs = list(d.edge_labels)
-            shuffled = labs[:]
-            rng.shuffle(shuffled)
-            r = relabel(d, perm, rots, dict(zip(labs, shuffled)))
+            r = random_relabel(d, rng)
             assert contract_ribbons(decompose(r)).canonical == base
 
     def test_alternating_refused(self):
@@ -214,6 +239,63 @@ class TestClassifyGenusTwo:
     def test_mixed_valence4_case(self):
         desc = classify_genus_two(gen_genus2(fixtures.GEN2MIX_RECIPE))
         assert desc.case_label == 3
+
+    @pytest.mark.parametrize(
+        "text, case",
+        [(CASE6, 6), (THETA_THREE_EVEN, 2), (THETA_DIRECT_PAIR, 2)],
+        ids=["case6", "theta-three-even", "theta-direct-pair"],
+    )
+    def test_pinned_structures(self, text, case):
+        d = parse_pd(text)
+        for x in (d, mirror(d)):
+            assert classify_genus_two(x).case_label == case
+
+    @pytest.mark.parametrize(
+        "diagram, mutate",
+        [
+            # one ribbon of the all-even theta made odd: mixed parities
+            (
+                lambda: parse_pd(THETA_THREE_EVEN),
+                lambda desc: replace(
+                    desc, ribbons=(replace(desc.ribbons[0], interior=(0,)),) + desc.ribbons[1:]
+                ),
+            ),
+            # an even ribbon with both ends on the valence-4 junction
+            (
+                fixtures.gen2a,
+                lambda desc: replace(
+                    desc, ribbons=(replace(desc.ribbons[0], interior=(0, 1)),) + desc.ribbons[1:]
+                ),
+            ),
+            # a closed cycle of 2-tangles has genus one
+            (fixtures.gen2a, lambda desc: replace(desc, all_two_cycle=True)),
+        ],
+        ids=["theta-mixed-parities", "valence4-even-loop", "two-cycle"],
+    )
+    def test_structure_outside_the_cases_raises(self, diagram, mutate):
+        dec = decompose(diagram())
+        with pytest.raises(DiagramError):
+            casetable.lookup_case(mutate(contract_ribbons(dec)), dec)
+
+    def test_seeded_random_primes_labelled(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+        try:
+            import inputs
+        finally:
+            sys.path.pop(0)
+        rng, relabel_rng = random.Random(5), random.Random(6)
+        seen = 0
+        for _ in range(60):
+            d = PlanarDiagram.from_rows(inputs.prime_rows(rng, rng.randint(9, 60), 2))
+            if turaev_genus(d) != 2:
+                continue
+            seen += 1
+            case = classify_genus_two(d).case_label
+            assert case in range(1, 9)
+            assert oracles.genus_two_case_by_table(d) in (None, case)
+            assert classify_genus_two(mirror(d)).case_label == case
+            assert classify_genus_two(random_relabel(d, relabel_rng)).case_label == case
+        assert seen >= 50
 
     def test_trefoil_refused(self):
         with pytest.raises(Refused):
