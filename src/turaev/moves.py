@@ -374,7 +374,7 @@ def almost_alternating_form(
                 "a loop crossing sits in a tangle that is not a twist chain", diagram
             )
 
-    cycle, run = _collect_run(cycle, set(loop_units), note)
+    cycle, run = _collect_run(cycle, set(loop_units), note if trace is not None else None)
     cycle = CycleOfTangles(cycle.units, tuple(run))
     cycle = rii_cancel(cycle)
     result = cycle.reconstruct()
@@ -382,19 +382,6 @@ def almost_alternating_form(
     result = _certify(result, result)
     note("certified", result)
     return result
-
-
-def pipeline_trace_json(diagram: PlanarDiagram) -> str:
-    """The reduction pipeline as a JSON move list with intermediate PDs."""
-    import json
-
-    trace: list = []
-    try:
-        almost_alternating_form(diagram, trace)
-        outcome = "almost-alternating"
-    except PipelineRefused as exc:
-        outcome = f"refused: {exc.reason}"
-    return json.dumps({"outcome": outcome, "moves": trace}, sort_keys=True)
 
 
 def _certify(result: PlanarDiagram, intermediate: PlanarDiagram) -> PlanarDiagram:
@@ -416,7 +403,8 @@ def _collect_run(
 
     The first marked unit anchors the run; every other marked unit is
     flyped rightward around the cycle until it joins. Each flype carries
-    its own genus assertion.
+    its own genus assertion. When ``note`` is given, it receives every
+    flype and the reconstructed diagram after it.
     """
     if not movers:
         raise DiagramError("nothing to collect")

@@ -649,10 +649,6 @@ def canonical_code(diagram: PlanarDiagram) -> str:
     return " ".join("X[%d,%d,%d,%d]" % row for row in canonical_encoding(diagram))
 
 
-def canonical_form(diagram: PlanarDiagram) -> PlanarDiagram:
-    return PlanarDiagram.from_rows(canonical_encoding(diagram))
-
-
 def isomorphic(d1: PlanarDiagram, d2: PlanarDiagram) -> bool:
     return canonical_encoding(d1) == canonical_encoding(d2)
 

@@ -15,6 +15,13 @@ Within a tangle all crossings have the same checkerboard sign. A slot
 parity count shows an alternating edge always joins crossings of equal
 sign and a channel edge crossings of opposite sign, so adjacent tangles
 alternate in sign and no channel edge returns to its own tangle.
+
+Both low-genus classifiers read one object, a chain of 2-tangles: disc
+tangles of valence two whose legs split into two rotation-adjacent
+pairs, each pair running to one neighbor. ``_follow_chain`` walks such a
+chain. A genus-one cycle is the walk closing on itself through every
+tangle; a genus-two ribbon is the walk from one junction tangle, a
+tangle outside the chain, to the next.
 """
 
 from __future__ import annotations
@@ -189,6 +196,88 @@ def _boundary_circles(diagram: PlanarDiagram, alt: dict[int, bool]) -> list[tupl
     return circles
 
 
+# -- chains of 2-tangles -------------------------------------------------------
+
+
+def _adjacent_in_circle(circle: tuple[int, ...], pair) -> bool:
+    """Whether ``pair``, two darts of ``circle``, are cyclically adjacent."""
+    if len(pair) != 2:
+        return False
+    i, j = sorted(circle.index(d) for d in pair)
+    return j - i in (1, len(circle) - 1)
+
+
+def _pair_split(dec: TangleDecomposition, t: Tangle) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Split a valence-2 disc tangle's legs into two parallel pairs.
+
+    A valid split groups the cyclic legs into adjacent pairs, each pair
+    going to one other tangle with the far legs adjacent there as well.
+    """
+    if t.valence != 2 or not t.simply_connected or not t.boundary:
+        return None
+    circle = t.boundary
+    for shift in (0, 1):
+        pairs = (
+            (circle[shift], circle[(shift + 1) % 4]),
+            (circle[(shift + 2) % 4], circle[(shift + 3) % 4]),
+        )
+        if all(_pair_leads_to_one_tangle(dec, t.id, pair) for pair in pairs):
+            return pairs
+    return None
+
+
+def _pair_leads_to_one_tangle(dec: TangleDecomposition, tid: int, pair: tuple[int, int]) -> bool:
+    diagram = dec.diagram
+    labs = {diagram.label(d) for d in pair}
+    if len(labs) != 2:
+        return False
+    far = {dec.far_tangle(tid, lab) for lab in labs}
+    if len(far) != 1 or tid in far:
+        return False
+    far_tid = far.pop()
+    far_t = dec.tangles[far_tid]
+    for c in far_t.boundary_circles:
+        legs = {d for d in c if diagram.label(d) in labs}
+        if len(legs) == 2:
+            return _adjacent_in_circle(c, legs)
+    return False
+
+
+def _follow_chain(
+    dec: TangleDecomposition, chain_tangles, start: int, labels: tuple[int, int]
+) -> tuple[list[int], list[tuple[int, int]], int | None]:
+    """Walk a chain of 2-tangles out of tangle ``start``.
+
+    The walk leaves ``start`` on the channel edges ``labels``, enters each
+    tangle of ``chain_tangles`` on two adjacent legs and leaves on the
+    other two, and stops at a tangle outside ``chain_tangles`` or back at
+    ``start``. Returns the chain, the sorted label pairs crossed
+    (``labels`` first), and the tangle reached, which is None when the
+    walk breaks off: a crossed pair leads to two tangles, or enters a
+    chain tangle on non-adjacent legs. Leaving by the legs not entered,
+    not by the tangle's own split, matters when two tangles share four
+    edges: both leg pairings are splits, and each tangle may pick either.
+    """
+    diagram = dec.diagram
+    chain: list[int] = []
+    crossed = [labels]
+    cur = start
+    while True:
+        far = {dec.far_tangle(cur, lab) for lab in labels}
+        if len(far) != 1:
+            return chain, crossed, None
+        cur = far.pop()
+        if cur == start or cur not in chain_tangles:
+            return chain, crossed, cur
+        circle = dec.tangles[cur].boundary
+        entered = [d for d in circle if diagram.label(d) in labels]
+        if not _adjacent_in_circle(circle, entered):
+            return chain, crossed, None
+        chain.append(cur)
+        labels = tuple(sorted(diagram.label(d) for d in circle if d not in entered))
+        crossed.append(labels)
+
+
 # -- genus-one classification ------------------------------------------------
 
 
@@ -224,15 +313,15 @@ class CycleStructure:
         return tuple(t.sign for t in self.tangles)
 
 
-def _adjacent_in_circle(circle: tuple[int, ...], pair: set[int]) -> bool:
-    k = len(circle)
-    return any({circle[i], circle[(i + 1) % k]} == pair for i in range(k))
-
-
 def classify_genus_one(diagram: PlanarDiagram) -> CycleStructure:
     """Recognize a cycle of alternating 2-tangles; Refused with a reason
     otherwise. Succeeds exactly on the prime connected diagrams of Turaev
-    genus one."""
+    genus one.
+
+    The cycle is the chain walk through every tangle that leaves tangle 0
+    on one pair of its ``_pair_split``, the pair with the smaller (far
+    tangle, labels), and closes on tangle 0.
+    """
     if not diagram.is_connected:
         raise DiagramError("classification requires a connected diagram")
     if not is_prime(diagram):
@@ -249,83 +338,22 @@ def classify_genus_one(diagram: PlanarDiagram) -> CycleStructure:
     if n == 1:
         raise Refused("channel edges return to a single tangle")
 
-    junction_list = _junction_pairing(dec)
-    if junction_list is None:
+    split = _pair_split(dec, dec.tangles[0])
+    if split is None:
         raise Refused("channel edges are not rotation-adjacent junction pairs")
-
-    junction_map: dict[int, list[tuple[int, int, int]]] = {t.id: [] for t in dec.tangles}
-    for t1, t2, labs in junction_list:
-        junction_map[t1].append((t2, labs[0], labs[1]))
-        junction_map[t2].append((t1, labs[0], labs[1]))
-    for tid, js in junction_map.items():
-        if len(js) != 2:
-            raise Refused(f"tangle {tid} does not meet exactly two junctions")
-    start = 0
-    order = [start]
-    junctions: list[tuple[int, int]] = []
-    nxt, e1, e2 = sorted(junction_map[start])[0]
-    junctions.append((e1, e2))
-    prev_edges = {e1, e2}
-    while nxt != start:
-        order.append(nxt)
-        onward = [j for j in junction_map[nxt] if {j[1], j[2]} != prev_edges]
-        if len(onward) != 1:
-            raise Refused("junction pattern is not a single cycle")
-        nxt, e1, e2 = onward[0]
-        junctions.append((e1, e2))
-        prev_edges = {e1, e2}
-    if len(order) != n:
+    exits = [tuple(sorted(diagram.label(d) for d in pair)) for pair in split]
+    _, labels = min((dec.far_tangle(0, labs[0]), labs) for labs in exits)
+    chain, crossed, end = _follow_chain(dec, range(n), 0, labels)
+    if end is None:
+        raise Refused("channel edges are not rotation-adjacent junction pairs")
+    if len(chain) != n - 1:
         raise Refused("junction pattern is not a single cycle covering every tangle")
 
     coloring = checkerboard(diagram)
     white = _two_face_color_signature(dec, coloring)
     if white is None:
         raise Refused("non-alternating edges are not carried by two faces of one color")
-    return CycleStructure(dec, tuple(order), tuple(junctions), white)
-
-
-def _junction_pairing(dec: TangleDecomposition) -> list[tuple[int, int, tuple[int, int]]] | None:
-    """Group channel edges into rotation-adjacent pairs per tangle pair.
-
-    Returns a list of junctions (t1, t2, (label, label)); the two-tangle
-    cycle contributes two junctions between the same tangles. None when no
-    grouping consistent with the rotations exists.
-    """
-    diagram = dec.diagram
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for ce in dec.channel_edges:
-        a, b = sorted(ce.tangles)
-        if a == b:
-            return None
-        by_pair.setdefault((a, b), []).append(ce.label)
-    junctions: list[tuple[int, int, tuple[int, int]]] = []
-    for key, labs in sorted(by_pair.items()):
-        if len(labs) == 2:
-            for tid in key:
-                circle = dec.tangles[tid].boundary
-                legs = {d for d in circle if diagram.label(d) in labs}
-                if not _adjacent_in_circle(circle, legs):
-                    return None
-            junctions.append((*key, (min(labs), max(labs))))
-        elif len(labs) == 4 and len(by_pair) == 1:
-            t1, t2 = key
-            c1 = dec.tangles[t1].boundary
-            c2 = dec.tangles[t2].boundary
-            lab1 = [diagram.label(d) for d in c1]
-            for shift in (0, 1):
-                ja = {lab1[shift], lab1[(shift + 1) % 4]}
-                jb = {lab1[(shift + 2) % 4], lab1[(shift + 3) % 4]}
-                if _adjacent_in_circle(c2, {d for d in c2 if diagram.label(d) in ja}) and _adjacent_in_circle(
-                    c2, {d for d in c2 if diagram.label(d) in jb}
-                ):
-                    junctions.append((t1, t2, tuple(sorted(ja))))  # type: ignore[arg-type]
-                    junctions.append((t1, t2, tuple(sorted(jb))))  # type: ignore[arg-type]
-                    break
-            else:
-                return None
-        else:
-            return None
-    return junctions
+    return CycleStructure(dec, (0, *chain), tuple(crossed), white)
 
 
 def _two_face_color_signature(dec: TangleDecomposition, coloring) -> tuple[int, int] | None:
@@ -519,24 +547,34 @@ class Genus2Descriptor:
 
     ``junction_words`` lists, per junction tangle and boundary circle, the
     cyclic sequence of leg annotations ("r", ribbon id, end) or ("s",
-    single edge id, 0). ``canonical`` encodes the whole structure, ribbon
-    parities included, and is invariant under relabeling and mirror.
-    ``case_label`` is the genus-two case 1-8 that ``casetable`` reads off
-    this structure, or None before classification.
+    single edge id, 0); ``junction_attrs`` holds each junction's (valence,
+    disc-ness) in the same order. ``canonical`` encodes the whole
+    structure, ribbon parities included, and is invariant under relabeling
+    and mirror; it is built on first read, since its search is factorial
+    in the number of junctions. ``case_label`` is the genus-two case 1-8
+    that ``casetable`` reads off this structure, or None before
+    classification.
     """
 
     valences: tuple[int, ...]
     non_simply_connected: bool
     all_two_cycle: bool
     junction_words: tuple[tuple[tuple[tuple[str, int, int], ...], ...], ...]
+    junction_attrs: tuple[tuple[int, bool], ...]
     ribbons: tuple[Ribbon, ...]
     singles: tuple[int, ...]
-    canonical: str
     case_label: int | None = None
 
     @property
     def ribbon_parities(self) -> tuple[int, ...]:
         return tuple(r.parity for r in self.ribbons)
+
+    @cached_property
+    def canonical(self) -> str:
+        if self.all_two_cycle:
+            n = len(self.valences)
+            return f"cycle[n={n},parity={n % 2}]"
+        return _canonical_junction_structure(self.junction_words, self.junction_attrs, self.ribbons)
 
     def to_json_dict(self) -> dict:
         return {
@@ -551,50 +589,13 @@ class Genus2Descriptor:
         }
 
 
-def _pair_split(dec: TangleDecomposition, t: Tangle) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Split a valence-2 disc tangle's legs into two parallel pairs.
-
-    A valid split groups the cyclic legs into adjacent pairs, each pair
-    going to one other tangle with the far legs adjacent there as well.
-    """
-    if t.valence != 2 or not t.simply_connected or not t.boundary:
-        return None
-    diagram = dec.diagram
-    circle = t.boundary
-    for shift in (0, 1):
-        pairs = (
-            (circle[shift], circle[(shift + 1) % 4]),
-            (circle[(shift + 2) % 4], circle[(shift + 3) % 4]),
-        )
-        if all(_pair_leads_to_one_tangle(dec, t.id, pair) for pair in pairs):
-            return pairs
-    return None
-
-
-def _pair_leads_to_one_tangle(dec: TangleDecomposition, tid: int, pair: tuple[int, int]) -> bool:
-    diagram = dec.diagram
-    labs = {diagram.label(d) for d in pair}
-    if len(labs) != 2:
-        return False
-    far = {dec.far_tangle(tid, lab) for lab in labs}
-    if len(far) != 1 or tid in far:
-        return False
-    far_tid = far.pop()
-    far_t = dec.tangles[far_tid]
-    for c in far_t.boundary_circles:
-        legs = {d for d in c if diagram.label(d) in labs}
-        if len(legs) == 2:
-            return _adjacent_in_circle(c, legs)
-    return False
-
-
 def contract_ribbons(dec: TangleDecomposition) -> Genus2Descriptor:
     """Collapse maximal chains of pair-linked 2-tangles into ribbons.
 
-    Junction vertices are the tangles that are not chain interiors; when
-    every tangle is a chain interior the diagram is one closed ribbon
-    cycle. Ribbon lengths are recorded with their parity; the descriptor
-    string is canonical under relabeling and reflection.
+    Junction vertices are the tangles that are not chain tangles; each
+    ribbon is one chain walk out of a junction. When every tangle is a
+    chain tangle the diagram is one closed ribbon cycle. Ribbon lengths
+    are recorded with their parity.
     """
     if dec.alternating:
         raise Refused("alternating diagram has no channel structure")
@@ -609,8 +610,7 @@ def contract_ribbons(dec: TangleDecomposition) -> Genus2Descriptor:
     nsc = any(not t.simply_connected for t in dec.tangles)
 
     if not junctions:
-        canonical = f"cycle[n={len(dec.tangles)},parity={len(dec.tangles) % 2}]"
-        return Genus2Descriptor(valences, nsc, True, (), (), (), canonical)
+        return Genus2Descriptor(valences, nsc, True, (), (), (), ())
 
     ribbons: list[Ribbon] = []
     singles: list[int] = []
@@ -625,10 +625,11 @@ def contract_ribbons(dec: TangleDecomposition) -> Genus2Descriptor:
                 partner = _ribbon_start_partner(dec, splits, jid, leg)
                 if partner is not None:
                     start_pair = tuple(sorted((leg, partner)))
-                    rib = _walk_ribbon(dec, splits, jid, start_pair, consumed, len(ribbons))
+                    rib = _walk_ribbon(dec, splits, jid, start_pair, len(ribbons))
                     ribbons.append(rib)
                     for end_index, (tid, legs) in enumerate(rib.ends):
                         for end_leg in legs:
+                            consumed.add(diagram.label(end_leg))
                             end_annotation[end_leg] = ("r", rib.id, end_index)
                 else:
                     consumed.add(lab)
@@ -637,14 +638,13 @@ def contract_ribbons(dec: TangleDecomposition) -> Genus2Descriptor:
                         end_annotation[d] = ("s", lab, 0)
 
     words = []
+    attrs = []
     for jid in junctions:
-        circles = []
-        for circle in dec.tangles[jid].boundary_circles:
-            circles.append(tuple(end_annotation[leg] for leg in circle))
-        words.append(tuple(circles))
-    canonical = _canonical_junction_structure(tuple(words), ribbons, dec, junctions)
+        t = dec.tangles[jid]
+        words.append(tuple(tuple(end_annotation[leg] for leg in c) for c in t.boundary_circles))
+        attrs.append((t.valence, t.simply_connected))
     return Genus2Descriptor(
-        valences, nsc, False, tuple(words), tuple(ribbons), tuple(sorted(singles)), canonical
+        valences, nsc, False, tuple(words), tuple(attrs), tuple(ribbons), tuple(sorted(singles))
     )
 
 
@@ -674,45 +674,22 @@ def _ribbon_start_partner(dec, splits, jid, leg) -> int | None:
     return None
 
 
-def _walk_ribbon(dec, splits, start_jid, start_pair, consumed, rib_id) -> Ribbon:
+def _walk_ribbon(dec, splits, start_jid, start_pair, rib_id) -> Ribbon:
+    """The ribbon of the chain walk leaving ``start_jid`` on its legs
+    ``start_pair``."""
     diagram = dec.diagram
-    labs = {diagram.label(d) for d in start_pair}
-    consumed.update(labs)
-    interior: list[int] = []
-    far = {dec.far_tangle(start_jid, lab) for lab in labs}
-    cur = far.pop()
-    while cur in splits:
-        interior.append(cur)
-        enter = frozenset(
-            d for c in dec.tangles[cur].boundary_circles for d in c if diagram.label(d) in labs
-        )
-        (p1a, p1b), (p2a, p2b) = splits[cur]
-        if enter == frozenset((p1a, p1b)):
-            exit_pair = (p2a, p2b)
-        elif enter == frozenset((p2a, p2b)):
-            exit_pair = (p1a, p1b)
-        else:
-            raise DiagramError("chain tangle entered off its pair split")
-        labs = {diagram.label(d) for d in exit_pair}
-        consumed.update(labs)
-        nxt = {dec.far_tangle(cur, lab) for lab in labs}
-        if len(nxt) != 1:
-            raise DiagramError("chain pair leads to two different tangles")
-        cur = nxt.pop()
-    end_legs = tuple(
-        sorted(
-            d
-            for c in dec.tangles[cur].boundary_circles
-            for d in c
-            if diagram.label(d) in labs
-        )
-    )
+    labels = tuple(sorted(diagram.label(d) for d in start_pair))
+    interior, crossed, end = _follow_chain(dec, splits, start_jid, labels)
+    if end is None:
+        raise DiagramError("ribbon crosses an edge pair that is not a junction pair")
+    legs = [d for c in dec.tangles[end].boundary_circles for d in c]
+    end_legs = tuple(sorted(d for d in legs if diagram.label(d) in crossed[-1]))
     if len(end_legs) != 2:
         raise DiagramError("ribbon end does not land on two junction legs")
-    return Ribbon(rib_id, ((start_jid, start_pair), (cur, end_legs)), tuple(interior))
+    return Ribbon(rib_id, ((start_jid, start_pair), (end, end_legs)), tuple(interior))
 
 
-def _canonical_junction_structure(words, ribbons, dec, junctions) -> str:
+def _canonical_junction_structure(words, attrs, ribbons) -> str:
     """Canonical string of the junction structure.
 
     Minimizes over junction orderings, per-circle rotations, and a global
@@ -720,18 +697,14 @@ def _canonical_junction_structure(words, ribbons, dec, junctions) -> str:
     ride along; vertex attributes record valence and disc-ness.
     """
     parity = {r.id: r.parity for r in ribbons}
-    attrs = {}
-    for jid in junctions:
-        t = dec.tangles[jid]
-        attrs[jid] = (t.valence, t.simply_connected)
 
     def encode(order: tuple[int, ...], reflect: bool) -> str:
         # rename: (kind, ident) -> (tag, first end seen); a ribbon's two
         # ends are interchangeable, so the first one encountered is end 0.
         rename: dict[tuple[str, int], tuple[str, int]] = {}
         pieces = []
-        for jid in order:
-            circle_words = [list(w) for w in words[junctions.index(jid)]]
+        for j in order:
+            circle_words = [list(w) for w in words[j]]
             if reflect:
                 circle_words = [list(reversed(w)) for w in circle_words]
             vertex_pieces = []
@@ -756,12 +729,12 @@ def _canonical_junction_structure(words, ribbons, dec, junctions) -> str:
                         best_piece, best_state = piece, trial
                 rename = best_state  # type: ignore[assignment]
                 vertex_pieces.append(best_piece)
-            v, sc = attrs[jid]
+            v, sc = attrs[j]
             pieces.append(f"[v{v}{'d' if sc else 'a'}:{'|'.join(sorted(vertex_pieces))}]")
         return "".join(pieces)
 
     best = None
-    for order in permutations(junctions):
+    for order in permutations(range(len(words))):
         for reflect in (False, True):
             enc = encode(order, reflect)
             if best is None or enc < best:

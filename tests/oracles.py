@@ -425,3 +425,113 @@ def genus_two_case_by_table(diagram) -> int | None:
     else:
         return None
     return _GENUS_TWO_TABLE[family].get(descriptor.canonical)
+
+
+def _adjacent_in_circle(circle, pair) -> bool:
+    k = len(circle)
+    return any({circle[i], circle[(i + 1) % k]} == pair for i in range(k))
+
+
+def _junction_pairing(dec):
+    """Group channel edges into rotation-adjacent pairs per tangle pair.
+
+    Returns a list of junctions (t1, t2, (label, label)); the two-tangle
+    cycle contributes two junctions between the same tangles. None when no
+    grouping consistent with the rotations exists.
+    """
+    diagram = dec.diagram
+    by_pair = {}
+    for ce in dec.channel_edges:
+        a, b = sorted(ce.tangles)
+        if a == b:
+            return None
+        by_pair.setdefault((a, b), []).append(ce.label)
+    junctions = []
+    for key, labs in sorted(by_pair.items()):
+        if len(labs) == 2:
+            for tid in key:
+                circle = dec.tangles[tid].boundary
+                legs = {d for d in circle if diagram.label(d) in labs}
+                if not _adjacent_in_circle(circle, legs):
+                    return None
+            junctions.append((*key, (min(labs), max(labs))))
+        elif len(labs) == 4 and len(by_pair) == 1:
+            t1, t2 = key
+            c1 = dec.tangles[t1].boundary
+            c2 = dec.tangles[t2].boundary
+            lab1 = [diagram.label(d) for d in c1]
+            for shift in (0, 1):
+                ja = {lab1[shift], lab1[(shift + 1) % 4]}
+                jb = {lab1[(shift + 2) % 4], lab1[(shift + 3) % 4]}
+                if _adjacent_in_circle(c2, {d for d in c2 if diagram.label(d) in ja}) and _adjacent_in_circle(
+                    c2, {d for d in c2 if diagram.label(d) in jb}
+                ):
+                    junctions.append((t1, t2, tuple(sorted(ja))))
+                    junctions.append((t1, t2, tuple(sorted(jb))))
+                    break
+            else:
+                return None
+        else:
+            return None
+    return junctions
+
+
+def genus_one_cycle_by_junction_pairing(diagram):
+    """(order, junctions, white_faces) of a cycle of alternating 2-tangles
+    by pairing every tangle pair's channel edges into junctions and walking
+    the junction map; raises Refused otherwise.
+
+    The reference for ``tangles.classify_genus_one``, which follows one
+    chain walk out of tangle 0 instead.
+    """
+    from turaev.pdcore import DiagramError, Refused, checkerboard, is_prime
+    from turaev.tangles import _two_face_color_signature, decompose
+
+    if not diagram.is_connected:
+        raise DiagramError("classification requires a connected diagram")
+    if not is_prime(diagram):
+        raise Refused("composite diagram")
+    dec = decompose(diagram)
+    if dec.alternating:
+        raise Refused("alternating diagram")
+    for t in dec.tangles:
+        if t.valence != 2:
+            raise Refused(f"tangle {t.id} has valence {t.valence}, not 2")
+        if not t.simply_connected:
+            raise Refused(f"tangle {t.id} is not simply connected")
+    n = len(dec.tangles)
+    if n == 1:
+        raise Refused("channel edges return to a single tangle")
+
+    junction_list = _junction_pairing(dec)
+    if junction_list is None:
+        raise Refused("channel edges are not rotation-adjacent junction pairs")
+
+    junction_map = {t.id: [] for t in dec.tangles}
+    for t1, t2, labs in junction_list:
+        junction_map[t1].append((t2, labs[0], labs[1]))
+        junction_map[t2].append((t1, labs[0], labs[1]))
+    for tid, js in junction_map.items():
+        if len(js) != 2:
+            raise Refused(f"tangle {tid} does not meet exactly two junctions")
+    start = 0
+    order = [start]
+    junctions = []
+    nxt, e1, e2 = sorted(junction_map[start])[0]
+    junctions.append((e1, e2))
+    prev_edges = {e1, e2}
+    while nxt != start:
+        order.append(nxt)
+        onward = [j for j in junction_map[nxt] if {j[1], j[2]} != prev_edges]
+        if len(onward) != 1:
+            raise Refused("junction pattern is not a single cycle")
+        nxt, e1, e2 = onward[0]
+        junctions.append((e1, e2))
+        prev_edges = {e1, e2}
+    if len(order) != n:
+        raise Refused("junction pattern is not a single cycle covering every tangle")
+
+    white = _two_face_color_signature(dec, checkerboard(diagram))
+    if white is None:
+        raise Refused("non-alternating edges are not carried by two faces of one color")
+    return tuple(order), tuple(junctions), white

@@ -4,11 +4,20 @@ from pathlib import Path
 
 import pytest
 
-from turaev import cli, corpus, fixtures, render
+from turaev import cli, corpus, fixtures, render, tangles
 from turaev.pdcore import DiagramError, PlanarDiagram, Refused, canonical_encoding, parse_pd
 from turaev.tangles import decompose
 
 import oracles
+
+GENUS5_EIGHT_JUNCTIONS = (
+    "X[1,2,3,4] X[5,6,7,8] X[9,10,11,12] X[13,8,14,15] X[16,17,18,19] X[20,21,22,19] "
+    "X[17,13,15,18] X[22,23,24,16] X[25,26,27,28] X[29,30,31,32] X[33,34,35,36] "
+    "X[14,37,38,39] X[5,40,41,6] X[33,42,43,44] X[38,45,46,39] X[35,34,47,48] "
+    "X[43,42,36,2] X[28,49,45,25] X[44,1,50,51] X[11,37,7,12] X[52,3,53,54] "
+    "X[49,31,30,46] X[53,10,55,54] X[4,52,56,57] X[58,56,59,60] X[24,23,60,59] "
+    "X[40,55,9,41] X[48,47,27,26] X[57,58,51,50] X[20,29,32,21]"
+)
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +390,21 @@ class TestRender:
         dec = decompose(fixtures.gen2a())
         dot = render.decomposition_dot(dec, collapse_ribbons=True)
         assert "ribbon" in dot
+
+    def test_collapsed_ribbons_skip_the_canonical_string(self, monkeypatch):
+        # A 30-crossing genus-5 prime with eight junctions; the canonical
+        # string's search is factorial in the junction count, and drawing
+        # never reads it.
+        import xml.etree.ElementTree as ET
+
+        def encoder(*args):
+            raise AssertionError("canonical junction string built")
+
+        monkeypatch.setattr(tangles, "_canonical_junction_structure", encoder)
+        dec = decompose(parse_pd(GENUS5_EIGHT_JUNCTIONS))
+        dot = render.decomposition_dot(dec, collapse_ribbons=True)
+        assert dot.count("ribbon len=1 parity=1") == 3
+        ET.fromstring(render.decomposition_svg(dec, collapse_ribbons=True))
 
     def test_svg_wellformed(self):
         import xml.etree.ElementTree as ET

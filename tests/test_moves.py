@@ -30,6 +30,11 @@ import oracles
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 PSEUDOTREF = parse_pd("X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]")
 CLASP2 = parse_pd("X[1,2,3,4] X[3,2,1,4]")
+# A nine-crossing genus-one prime whose reduction flypes twice.
+TWO_FLYPES = (
+    "X[1,2,3,4] X[5,6,7,8] X[1,9,10,11] X[8,12,4,3] X[2,11,13,14] "
+    "X[14,13,15,5] X[16,17,18,12] X[16,7,6,15] X[10,9,18,17]"
+)
 
 
 class TestCycleOfTangles:
@@ -138,6 +143,37 @@ class TestPipeline:
     def test_cycle4(self):
         out = almost_alternating_form(fixtures.cycle4())
         assert is_almost_alternating(out)
+
+    @pytest.mark.parametrize(
+        "diagram, moves",
+        [
+            (fixtures.aa6, ["input", "twist-cancelled", "certified"]),
+            (
+                lambda: parse_pd(TWO_FLYPES),
+                ["input", "flype at 3", "flype at 2", "twist-cancelled", "certified"],
+            ),
+        ],
+        ids=["aa6", "two-flypes"],
+    )
+    def test_trace(self, diagram, moves):
+        d = diagram()
+        trace = []
+        out = almost_alternating_form(d, trace)
+        assert [step["move"] for step in trace] == moves
+        assert trace[0]["diagram"] == d.to_pd_text()
+        assert trace[-1]["diagram"] == out.to_pd_text()
+        for step in trace:
+            assert turaev_genus(parse_pd(step["diagram"])) == 1
+
+    def test_untraced_run_builds_no_flype_diagrams(self, monkeypatch):
+        built = []
+        real = CycleOfTangles.reconstruct
+        monkeypatch.setattr(CycleOfTangles, "reconstruct", lambda self: built.append(1) or real(self))
+        almost_alternating_form(parse_pd(TWO_FLYPES))
+        untraced = len(built)
+        almost_alternating_form(parse_pd(TWO_FLYPES), [])
+        traced = len(built) - untraced
+        assert traced == untraced + 2  # one diagram per traced flype
 
     def test_non_inadequate_input_refused(self):
         d = parse_pd("X[1,2,3,4] X[1,5,6,7] X[2,7,8,3] X[5,4,8,6]")

@@ -51,6 +51,37 @@ THETA_DIRECT_PAIR = (
 )
 
 
+def bench_inputs():
+    """``bench/inputs.py``, imported read-only for its seeded generators."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    return inputs
+
+
+def genus_one_outcome(classify, d: PlanarDiagram):
+    """(order, junctions, white_faces) of the recognized cycle, or None
+    when ``classify`` refuses."""
+    try:
+        cyc = classify(d)
+    except Refused:
+        return None
+    return cyc if isinstance(cyc, tuple) else (cyc.order, cyc.junctions, cyc.white_faces)
+
+
+def assert_genus_one_matches_oracle(diagrams) -> int:
+    """Compare against the junction-pairing recognizer; returns the number
+    of recognized cycles."""
+    recognized = 0
+    for d in diagrams:
+        ours = genus_one_outcome(classify_genus_one, d)
+        assert ours == genus_one_outcome(oracles.genus_one_cycle_by_junction_pairing, d), d.to_pd_text()
+        recognized += ours is not None
+    return recognized
+
+
 def random_relabel(d: PlanarDiagram, rng: random.Random) -> PlanarDiagram:
     perm = list(range(d.n))
     rng.shuffle(perm)
@@ -137,6 +168,29 @@ class TestClassifyGenusOne:
     def test_two_white_faces_carry_channel(self):
         cyc = classify_genus_one(PSEUDOTREF)
         assert len(cyc.white_faces) == 2
+
+    def test_oracle_on_exhaustive_5(self, exhaustive_rows):
+        # exhaustive(5) is the part of the session's exhaustive(6) with at
+        # most five crossings.
+        diagrams = [PlanarDiagram(rows) for rows in exhaustive_rows if len(rows) <= 5]
+        assert len(diagrams) == 5211
+        assert assert_genus_one_matches_oracle(diagrams) > 0
+
+    def test_oracle_on_random_corpus(self, random_rows):
+        assert assert_genus_one_matches_oracle(PlanarDiagram(rows) for rows in random_rows) > 0
+
+    def test_oracle_on_genus_one_primes(self):
+        inputs = bench_inputs()
+        rng = random.Random(7)
+        diagrams = [
+            PlanarDiagram.from_rows(inputs.prime_rows(rng, rng.randint(9, 80), 1)) for _ in range(60)
+        ]
+        assert assert_genus_one_matches_oracle(diagrams) == 60
+
+    def test_oracle_on_four_edge_pair(self):
+        # Two tangles joined by four edges: both leg pairings are splits.
+        d = parse_pd("X[1,2,3,4] X[1,4,3,2]")
+        assert assert_genus_one_matches_oracle([d, mirror(d)]) == 2
 
     def test_matches_genus_on_small_corpus(self, small_exhaustive_rows):
         for rows in small_exhaustive_rows:
@@ -278,11 +332,7 @@ class TestClassifyGenusTwo:
             casetable.lookup_case(mutate(contract_ribbons(dec)), dec)
 
     def test_seeded_random_primes_labelled(self):
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-        try:
-            import inputs
-        finally:
-            sys.path.pop(0)
+        inputs = bench_inputs()
         rng, relabel_rng = random.Random(5), random.Random(6)
         seen = 0
         for _ in range(60):
