@@ -17,6 +17,7 @@ on every application.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .pdcore import (
     DiagramError,
@@ -56,7 +57,8 @@ class CycleOfTangles:
     """A cycle of alternating 2-tangles with its payloads.
 
     ``twist`` marks a cyclically contiguous run of unit indices forming
-    the working twist region.
+    the working twist region. The assembled diagram is built on first use
+    and kept, so each cycle is built once however often it is read.
     """
 
     units: tuple[TangleUnit, ...]
@@ -70,9 +72,13 @@ class CycleOfTangles:
     def crossing_count(self) -> int:
         return sum(u.size for u in self.units)
 
-    def reconstruct(self) -> PlanarDiagram:
+    @cached_property
+    def _assembled(self) -> PlanarDiagram:
         diagram, _ = assemble_ring([u.payload for u in self.units])
         return diagram
+
+    def reconstruct(self) -> PlanarDiagram:
+        return self._assembled
 
 
 def cycle_of_tangles(diagram: PlanarDiagram) -> CycleOfTangles:

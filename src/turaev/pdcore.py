@@ -22,8 +22,8 @@ A diagram is accepted as planar when every edge label occurs twice, the
 4-valent graph is connected, and V - E + F = 2 for the traced faces.
 
 ``RotationSystem`` computes these once per diagram and keeps them;
-``PlanarDiagram`` adds the planar facts (state circles, Turaev genus,
-coloring, signs, composite circles) the same way.
+``PlanarDiagram`` adds the planar facts (state circles and their counts,
+Turaev genus, coloring, signs, composite circles) the same way.
 
 Text format: whitespace-separated terms ``X[a,b,c,d]`` with positive
 integer edge labels; the order of terms is the crossing index. JSON mirror:
@@ -144,6 +144,21 @@ def _crossing_classes(n: int, links: Iterable[tuple[int, int]]) -> list[list[int
     for c in range(n):
         groups.setdefault(find(c), []).append(c)
     return sorted(groups.values())
+
+
+def _orbit_count(alpha: Sequence[int], mask: int) -> int:
+    """Number of orbits of the dart permutation ``d -> alpha[d] ^ mask``."""
+    seen = bytearray(len(alpha))
+    orbits = 0
+    for start in range(len(alpha)):
+        if seen[start]:
+            continue
+        orbits += 1
+        d = start
+        while not seen[d]:
+            seen[d] = 1
+            d = alpha[d] ^ mask
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -286,8 +301,9 @@ class PlanarDiagram(RotationSystem):
     """An immutable planar link diagram.
 
     Besides the rotation-system facts it caches the all-A and all-B state
-    circles, the Turaev genus, the default checkerboard coloring, the
-    crossing signs and the composite circles.
+    circles, their counts, the Turaev genus, the default checkerboard
+    coloring, the crossing signs and the composite circles. The counts, and
+    so the genus, come from dart orbits without tracing the circles.
     """
 
     @staticmethod
@@ -323,11 +339,24 @@ class PlanarDiagram(RotationSystem):
         return states.state_circles(self, ("B",) * self.n)
 
     @cached_property
+    def circle_counts(self) -> tuple[int, int]:
+        """(|s_A|, |s_B|), the numbers of all-A and all-B state circles.
+
+        The A-smoothing pairs slot s with s ^ 1 and the B-smoothing with
+        s ^ 3, so ``d -> alpha[d] ^ 1`` (``^ 3``) walks the all-A (all-B)
+        circles dart by dart. Each circle is two orbits, one per direction,
+        so each count is half the orbit count. No circle is built.
+        """
+        alpha = self.alpha
+        return _orbit_count(alpha, 1) // 2, _orbit_count(alpha, 3) // 2
+
+    @cached_property
     def genus(self) -> int:
-        """Turaev genus (c + 2 - |s_A| - |s_B|) / 2 of a connected diagram."""
+        """Turaev genus (c + 2 - |s_A| - |s_B|) / 2 of a connected diagram,
+        read off ``circle_counts``."""
         if not self.is_connected:
             raise DiagramError("Turaev genus is defined for connected diagrams")
-        na, nb = self.a_circles.n, self.b_circles.n
+        na, nb = self.circle_counts
         num = self.n + 2 - na - nb
         if num < 0 or num % 2:
             raise DiagramError(f"impossible circle counts |s_A|={na} |s_B|={nb}")

@@ -9,6 +9,12 @@ of circles; the genus of the closed orientable surface spanned between the
 all-A and all-B circle families is
 
     g = (c + 2 - |s_A| - |s_B|) / 2.
+
+The genus needs only the two counts, which ``PlanarDiagram.circle_counts``
+reads off dart orbits without tracing a circle. ``state_circles`` traces
+the circles themselves, for the readers of their darts and corners:
+adequacy, cutting arcs and the Turaev cell complex, whose Euler check
+compares the traced counts with the orbit counts.
 """
 
 from __future__ import annotations
@@ -139,7 +145,8 @@ def state_circles(diagram: PlanarDiagram, state: Sequence[str]) -> StateCircles:
 
 
 def turaev_genus(diagram: PlanarDiagram) -> int:
-    """(c + 2 - |s_A| - |s_B|) / 2 for a connected diagram."""
+    """(c + 2 - |s_A| - |s_B|) / 2 for a connected diagram, from the
+    orbit counts of ``PlanarDiagram.circle_counts``."""
     return diagram.genus
 
 

@@ -390,9 +390,10 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
     intermediate, attaching = surger_cutting_arc(diagram, arc)
     if not intermediate.is_connected:
         raise DiagramError("cutting-arc surgery of a prime diagram must stay connected")
-    if intermediate.a_circles.n != diagram.a_circles.n + 1:
+    (na, nb), (ia, ib) = diagram.circle_counts, intermediate.circle_counts
+    if ia != na + 1:
         raise DiagramError("cutting-arc surgery must split the all-A circle")
-    if intermediate.b_circles.n != diagram.b_circles.n + 1:
+    if ib != nb + 1:
         raise DiagramError("cutting-arc surgery must split the all-B circle")
     if intermediate.genus != g - 1:
         raise DiagramError("cutting-arc surgery must lower the genus by one")
@@ -424,9 +425,7 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
                 rest = tuple(cc for cc in cur_circles[1:] if part >> intermediate.edge_darts[cc.edges[0]][0] & 1)
                 pending.append((part, part_top, rest))
     finals.sort(key=lambda d: d.crossings)
-    # An alternating diagram has Turaev genus 0: its all-A and all-B
-    # circles bound the faces of one color each.
-    total = sum(0 if is_alternating(f) else turaev_genus(f) for f in finals)
+    total = sum(turaev_genus(f) for f in finals)
     if total != g - 1:
         raise DiagramError(f"component genera sum to {total}, expected {g - 1}")
     return SplitStep(

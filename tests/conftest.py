@@ -99,6 +99,17 @@ def small_exhaustive_rows():
     return [d.crossings for d in corpus_mod.exhaustive(4)]
 
 
+@pytest.fixture(scope="session")
+def bench_inputs():
+    """``bench/inputs.py``, imported read-only for its seeded generators."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    return inputs
+
+
 @pytest.fixture()
 def traces(monkeypatch):
     """Every state-circle trace made during the test, as (diagram, state).

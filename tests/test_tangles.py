@@ -1,7 +1,5 @@
 import random
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -49,16 +47,6 @@ THETA_DIRECT_PAIR = (
     "X[1,2,3,4] X[5,6,1,4] X[7,8,9,10] X[11,10,9,12] X[13,6,5,14] "
     "X[11,12,13,15] X[3,2,16,17] X[8,18,17,16] X[7,15,14,18]"
 )
-
-
-def bench_inputs():
-    """``bench/inputs.py``, imported read-only for its seeded generators."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-    try:
-        import inputs
-    finally:
-        sys.path.pop(0)
-    return inputs
 
 
 def genus_one_outcome(classify, d: PlanarDiagram):
@@ -179,11 +167,10 @@ class TestClassifyGenusOne:
     def test_oracle_on_random_corpus(self, random_rows):
         assert assert_genus_one_matches_oracle(PlanarDiagram(rows) for rows in random_rows) > 0
 
-    def test_oracle_on_genus_one_primes(self):
-        inputs = bench_inputs()
+    def test_oracle_on_genus_one_primes(self, bench_inputs):
         rng = random.Random(7)
         diagrams = [
-            PlanarDiagram.from_rows(inputs.prime_rows(rng, rng.randint(9, 80), 1)) for _ in range(60)
+            PlanarDiagram.from_rows(bench_inputs.prime_rows(rng, rng.randint(9, 80), 1)) for _ in range(60)
         ]
         assert assert_genus_one_matches_oracle(diagrams) == 60
 
@@ -331,12 +318,11 @@ class TestClassifyGenusTwo:
         with pytest.raises(DiagramError):
             casetable.lookup_case(mutate(contract_ribbons(dec)), dec)
 
-    def test_seeded_random_primes_labelled(self):
-        inputs = bench_inputs()
+    def test_seeded_random_primes_labelled(self, bench_inputs):
         rng, relabel_rng = random.Random(5), random.Random(6)
         seen = 0
         for _ in range(60):
-            d = PlanarDiagram.from_rows(inputs.prime_rows(rng, rng.randint(9, 60), 2))
+            d = PlanarDiagram.from_rows(bench_inputs.prime_rows(rng, rng.randint(9, 60), 2))
             if turaev_genus(d) != 2:
                 continue
             seen += 1
