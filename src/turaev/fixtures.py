@@ -6,7 +6,9 @@ files; the remaining fixtures are produced by the generators with pinned
 parameters. PSEUDOTREF is the trefoil with crossing 0 switched; CONNSUM
 joins two trefoils by inverse surgery along an edge pair; TORUSGRID is the
 4x4 staggered grid on the torus, the smallest square grid that is
-alternating and has no two faces sharing a pair of edges.
+alternating and has no two faces sharing a pair of edges. ``square_grid``
+builds the plain alternating m x n grids on the torus, whose Hayashi
+complexity min(m, n) grows with the grid.
 """
 
 from __future__ import annotations
@@ -36,6 +38,22 @@ def load(name: str) -> PlanarDiagram:
 @lru_cache(maxsize=None)
 def torusgrid() -> SurfaceDiagram:
     return parse_surface(_read("torusgrid.pd"))
+
+
+def square_grid(m: int, n: int) -> SurfaceDiagram:
+    """The alternating m x n square grid on the torus (m, n even).
+
+    Its shortest non-separating loop runs along a row or a column of
+    faces and meets min(m, n) edges.
+    """
+    h = lambda i, j: 1 + (i % m) * n + (j % n)
+    v = lambda i, j: 1 + m * n + (i % m) * n + (j % n)
+    rows = []
+    for i in range(m):
+        for j in range(n):
+            ccw = [h(i, j), v(i, j), h(i, j - 1), v(i - 1, j)]
+            rows.append(ccw if (i + j) % 2 == 0 else ccw[1:] + ccw[:1])
+    return SurfaceDiagram.from_rows(rows)
 
 
 def kink() -> PlanarDiagram:

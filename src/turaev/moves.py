@@ -80,6 +80,14 @@ class CycleOfTangles:
     def reconstruct(self) -> PlanarDiagram:
         return self._assembled
 
+    def with_twist(self, twist: tuple[int, ...]) -> "CycleOfTangles":
+        """The same cycle with ``twist`` marked, keeping the diagram if it
+        is already built."""
+        out = CycleOfTangles(self.units, twist)
+        if "_assembled" in self.__dict__:
+            out.__dict__["_assembled"] = self._assembled
+        return out
+
 
 def cycle_of_tangles(diagram: PlanarDiagram) -> CycleOfTangles:
     """Cut a genus-one diagram into its cycle payloads.
@@ -380,8 +388,7 @@ def almost_alternating_form(
                 "a loop crossing sits in a tangle that is not a twist chain", diagram
             )
 
-    cycle, run = _collect_run(cycle, set(loop_units), note if trace is not None else None)
-    cycle = CycleOfTangles(cycle.units, tuple(run))
+    cycle = _collect_run(cycle, set(loop_units), note if trace is not None else None)
     cycle = rii_cancel(cycle)
     result = cycle.reconstruct()
     note("twist-cancelled", result)
@@ -402,10 +409,9 @@ def _certify(result: PlanarDiagram, intermediate: PlanarDiagram) -> PlanarDiagra
     )
 
 
-def _collect_run(
-    cycle: CycleOfTangles, movers: set[int], note=None
-) -> tuple[CycleOfTangles, list[int]]:
-    """Flype the marked single-crossing units into one contiguous run.
+def _collect_run(cycle: CycleOfTangles, movers: set[int], note=None) -> CycleOfTangles:
+    """Flype the marked single-crossing units into one contiguous run,
+    returned as the cycle's twist region.
 
     The first marked unit anchors the run; every other marked unit is
     flyped rightward around the cycle until it joins. Each flype carries
@@ -433,7 +439,7 @@ def _collect_run(
                 note(f"flype at {mover}", current.reconstruct())
             mover = (mover + 1) % n
         run = [mover] + run
-    return current, run
+    return current.with_twist(tuple(run))
 
 
 def core_arc(diagram: PlanarDiagram, c: int) -> surgery.CuttingArc | None:

@@ -125,9 +125,9 @@ class CompositeCircle:
     sides: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _crossing_classes(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Union-find over crossings 0..n-1: the classes joined by the linked
-    pairs, each ascending, in sorted order."""
+def _union_find(n: int):
+    """A union-find forest over 0..n-1, as its parent list and a ``find``
+    with path halving; callers join two roots by ``parent[a] = b``."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -136,6 +136,13 @@ def _crossing_classes(n: int, links: Iterable[tuple[int, int]]) -> list[list[int
             x = parent[x]
         return x
 
+    return parent, find
+
+
+def _crossing_classes(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Union-find over crossings 0..n-1: the classes joined by the linked
+    pairs, each ascending, in sorted order."""
+    parent, find = _union_find(n)
     for a, b in links:
         a, b = find(a), find(b)
         if a != b:

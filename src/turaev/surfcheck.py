@@ -8,9 +8,15 @@ cellular embedding and the genus is (2 - V + E - F) / 2.
 
 Simple loops avoiding the crossings correspond to cycles in the dual
 graph (faces as nodes, one dual edge per diagram edge); their number of
-intersections with the diagram is the cycle length, and their class in
-first homology with Z/2 coefficients is the crossed-edge vector modulo
-the span of the vertex coboundaries. On a surface produced as a spanning
+intersections with the diagram is the cycle length. Their class in first
+homology with Z/2 coefficients is read from per-edge signatures: one
+tree-cotree split gives 2g primal cycles forming a homology basis, an
+edge's signature records which of them pass through it, and a dual cycle
+is null-homologous exactly when the signatures of the edges it crosses
+XOR to 0 (Eppstein, SODA 2003; Erickson & Whittlesey, SODA 2005). The
+test holds for dual cycles only, and every caller passes one. The
+Gaussian span of the vertex coboundaries stays as the independent
+homology-rank check. On a surface produced as a spanning
 state surface of a prime non-alternating planar diagram, the genus
 reduction arc guarantees a homologically nontrivial loop meeting the
 diagram exactly twice, so an alternating cellular diagram without one
@@ -31,6 +37,7 @@ from .pdcore import (
     PlanarDiagram,
     Refused,
     RotationSystem,
+    _union_find,
     is_alternating,
     read_rows,
 )
@@ -41,8 +48,9 @@ from .states import TuraevCellComplex
 class SurfaceDiagram(RotationSystem):
     """A diagram cellularly embedded in a closed orientable surface.
 
-    Besides the rotation-system facts it caches the edge index and the
-    vertex coboundary span that every mod-2 homology test reads.
+    Besides the rotation-system facts it caches the edge signatures that
+    every mod-2 homology test of a loop reads, and the edge index and
+    vertex coboundary span of the homology-rank check.
     """
 
     @staticmethod
@@ -75,6 +83,62 @@ class SurfaceDiagram(RotationSystem):
         """Span of the vertex stars; dual cycles in it are null-homologous."""
         return _Gf2Span.of(self.chain_vector(row) for row in self.crossings)
 
+    @cached_property
+    def edge_signature(self) -> Mapping[int, int]:
+        """label -> 2g-bit int: bit k set when the edge lies on the k-th
+        basis cycle of a tree-cotree split.
+
+        A breadth-first tree T spans the crossings and a spanning tree of
+        the dual graph takes the edges outside T it can; each of the 2g
+        leftover edges closes one primal cycle with its path in T, and
+        these cycles form a basis of H1(F; Z/2). A dual cycle is
+        null-homologous iff its crossed edges' signatures XOR to 0, since
+        it meets each basis cycle in an even number of edges exactly
+        then. The test means nothing for an edge set that is not a dual
+        cycle.
+        """
+        alpha, label, n = self.alpha, self.label, self.n
+        up = [-1] * n  # the dart from the tree parent into each crossing
+        up[0] = 0  # the root: any non-negative mark
+        order = [0]
+        for c in order:
+            for d in range(4 * c, 4 * c + 4):
+                c2 = alpha[d] >> 2
+                if up[c2] < 0:
+                    up[c2] = d
+                    order.append(c2)
+        if len(order) != n:
+            raise DiagramError("spanning tree misses a crossing")
+        tree = {label(up[c]) for c in order[1:]}
+        fod = self.face_of_dart
+        parent, find = _union_find(len(self.faces))
+        signature = dict.fromkeys(self.edge_labels, 0)
+        # A leftover edge's bit marks both its ends; a tree edge lies on
+        # the cycle when exactly one end is below it, so its signature is
+        # the XOR of the marks in its subtree.
+        marks = [0] * n
+        bit = 1
+        for lab, (d1, d2) in self.edge_darts.items():
+            if lab in tree:
+                continue
+            f1, f2 = find(fod[d1]), find(fod[d2])
+            if f1 != f2:
+                parent[f1] = f2
+                continue
+            signature[lab] = bit
+            marks[d1 >> 2] ^= bit
+            marks[d2 >> 2] ^= bit
+            bit <<= 1
+        if bit != 1 << (2 * self.genus):
+            raise DiagramError(
+                f"tree-cotree split leaves {bit.bit_length() - 1} edges, not twice the genus {self.genus}"
+            )
+        for c in reversed(order[1:]):
+            d = up[c]
+            signature[label(d)] = marks[c]
+            marks[d >> 2] ^= marks[c]
+        return MappingProxyType(signature)
+
     def chain_vector(self, labels: Iterable[int]) -> int:
         """Mod-2 chain vector of the edges, a label listed twice cancelling."""
         vec = 0
@@ -106,24 +170,31 @@ def parse_surface(text: str) -> SurfaceDiagram:
 
 @dataclass(frozen=True)
 class _Gf2Span:
-    """Row-echelon basis of a span of bit vectors (ints), descending, as
-    in Gaussian elimination."""
+    """Echelon basis of a span of bit vectors (ints), as in Gaussian
+    elimination: each row keyed by its leading bit's ``bit_length``."""
 
-    rows: tuple[int, ...]
+    rows: Mapping[int, int]
 
     @staticmethod
     def of(vectors: Iterable[int]) -> "_Gf2Span":
-        span = _Gf2Span(())
+        rows: dict[int, int] = {}
+        span = _Gf2Span(MappingProxyType(rows))
         for vec in vectors:
             x = span.reduce(vec)
             if x:
-                span = _Gf2Span(tuple(sorted(span.rows + (x,), reverse=True)))
+                rows[x.bit_length()] = x
         return span
 
     def reduce(self, vec: int) -> int:
+        """``vec`` less rows until its leading bit leads no row; 0 iff
+        ``vec`` lies in the span."""
+        rows = self.rows
         x = vec
-        for r in self.rows:
-            x = min(x, x ^ r)
+        while x:
+            r = rows.get(x.bit_length())
+            if r is None:
+                break
+            x ^= r
         return x
 
     def __contains__(self, vec: int) -> bool:
@@ -190,23 +261,24 @@ def two_intersection_loops(s: SurfaceDiagram) -> LoopReport:
 
     The verdict is "obstructed" when no homologically nontrivial loop
     meets the diagram exactly twice: such a surface diagram cannot be the
-    state surface of a prime non-alternating planar diagram.
+    state surface of a prime non-alternating planar diagram. Each loop is
+    a dual cycle, so its class is the XOR of its edges' signatures.
     """
     if not is_alternating(s):
         raise Refused("surface diagram is not alternating")
     if s.genus == 0:
         return LoopReport(0, (), "not-applicable")
-    span = s.vertex_span
+    sig = s.edge_signature
     loops: list[DualLoop] = []
     # One face on both sides of an edge: a loop crossing it once.
     for lab, (d1, d2) in sorted(s.edge_darts.items()):
         f1, f2 = s.face_of_dart[d1], s.face_of_dart[d2]
         if f1 == f2:
-            loops.append(DualLoop((lab,), (f1,), s.chain_vector((lab,)) not in span))
+            loops.append(DualLoop((lab,), (f1,), sig[lab] != 0))
     # Two faces sharing two or more edges: loops crossing two of them.
     for faces, labs in s.face_pair_edges.items():
-        for pair in combinations(labs, 2):
-            loops.append(DualLoop(pair, faces, s.chain_vector(pair) not in span))
+        for a, b in combinations(labs, 2):
+            loops.append(DualLoop((a, b), faces, sig[a] != sig[b]))
     found = any(l.nontrivial and l.intersections == 2 for l in loops)
     return LoopReport(s.genus, tuple(loops), "loop-found" if found else "obstructed")
 
@@ -232,15 +304,18 @@ def is_reduced(s: SurfaceDiagram) -> bool:
     A crossing is nugatory when a loop meeting the diagram only there
     bounds a disc. Combinatorially: one face spans two opposite corners,
     and the loop through them, pushed off the crossing to either side, is
-    null-homologous. On the sphere the homology condition is automatic and
-    this is the usual isthmus test.
+    null-homologous. Each pushed-off side crosses the two edges between
+    the corners, a dual cycle, so it is null-homologous when their
+    signatures agree. On the sphere every signature is 0 and this is the
+    usual isthmus test.
     """
+    sig = s.edge_signature
     for c, row in enumerate(s.crossings):
         for k in (0, 1):
             if s.face_at_corner(c, k) != s.face_at_corner(c, k + 2):
                 continue
-            for side in ((row[(k + 1) % 4], row[(k + 2) % 4]), (row[k], row[(k + 3) % 4])):
-                if s.chain_vector(side) in s.vertex_span:
+            for a, b in ((row[(k + 1) % 4], row[(k + 2) % 4]), (row[k], row[(k + 3) % 4])):
+                if sig[a] == sig[b]:
                     return False
     return True
 
@@ -250,13 +325,14 @@ def hayashi_complexity(s: SurfaceDiagram) -> HayashiResult:
 
     A simple loop avoiding the crossings is a simple dual cycle, meeting
     the diagram once per dual edge; it is non-separating when its mod-2
-    class is nonzero, i.e. its crossed edges lie outside the vertex span.
+    class is nonzero, i.e. its crossed edges' signatures XOR to nonzero.
     At genus 1 that is the same as essential; at higher genus a shorter
     separating essential loop is not counted. Non-separating cycles obey
     the 3-path condition, so the shortest is the fundamental cycle of a
     non-tree edge in a breadth-first tree rooted on the cycle (Erickson &
     Har-Peled 2004; Cabello & Mohar 2007): one search per root face gives
-    the exact minimum.
+    the exact minimum. Each face carries the XOR of the signatures along
+    its tree path, so a fundamental cycle's class costs two XORs.
     """
     if s.genus < 1:
         raise Refused("complexity is defined for positive-genus surfaces")
@@ -266,8 +342,8 @@ def hayashi_complexity(s: SurfaceDiagram) -> HayashiResult:
         raise Refused("surface diagram is not reduced")
     homology_rank_check(s)
     nf = len(s.faces)
-    span = s.vertex_span
-    # Dual multigraph: faces as nodes, each edge carrying its chain vector;
+    sig = s.edge_signature
+    # Dual multigraph: faces as nodes, each edge carrying its signature;
     # an edge with one face on both sides is a loop of length 1.
     best = nf + 1  # longer than any simple dual cycle
     examined = 0
@@ -275,34 +351,34 @@ def hayashi_complexity(s: SurfaceDiagram) -> HayashiResult:
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
     for lab, (d1, d2) in sorted(s.edge_darts.items()):
         f1, f2 = s.face_of_dart[d1], s.face_of_dart[d2]
-        edge_vec = s.chain_vector((lab,))
         if f1 == f2:
             examined += 1
-            if edge_vec not in span:
+            if sig[lab]:
                 best = 1
         else:
-            dual_edges.append((f1, f2, edge_vec))
-            adjacency[f1].append((f2, edge_vec))
-            adjacency[f2].append((f1, edge_vec))
+            adjacency[f1].append((f2, len(dual_edges)))
+            adjacency[f2].append((f1, len(dual_edges)))
+            dual_edges.append((f1, f2, sig[lab]))
     for root in range(nf):
         if best <= 2:
             break
-        depth, path_vec = {root: 0}, {root: 0}
+        depth, path_sig, up = [-1] * nf, [0] * nf, [-1] * nf
+        depth[root] = 0
         queue = [root]
         for node in queue:
-            for nxt, edge_vec in adjacency[node]:
-                if nxt not in depth:
+            for nxt, k in adjacency[node]:
+                if depth[nxt] < 0:
                     depth[nxt] = depth[node] + 1
-                    path_vec[nxt] = path_vec[node] ^ edge_vec
+                    path_sig[nxt] = path_sig[node] ^ dual_edges[k][2]
+                    up[nxt] = k
                     queue.append(nxt)
-        # Each non-tree edge closes one cycle through the root; a tree edge
-        # closes none and its class comes out zero.
-        for f1, f2, edge_vec in dual_edges:
+        # Each non-tree edge closes one cycle through the root; a tree edge,
+        # the one by which a node was reached, closes none.
+        for k, (f1, f2, edge_sig) in enumerate(dual_edges):
             length = depth[f1] + depth[f2] + 1
-            cycle_vec = path_vec[f1] ^ path_vec[f2] ^ edge_vec
-            if length < best and cycle_vec:
+            if length < best and up[f1] != k and up[f2] != k:
                 examined += 1
-                if cycle_vec not in span:
+                if path_sig[f1] ^ path_sig[f2] ^ edge_sig:
                     best = length
     return HayashiResult(best, examined)
 

@@ -1,4 +1,6 @@
+import random
 from functools import cached_property
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +9,7 @@ from turaev.pdcore import DiagramError, PlanarDiagram, Refused, is_alternating, 
 from turaev.states import build_turaev_complex
 from turaev.surfcheck import (
     SurfaceDiagram,
+    _Gf2Span,
     from_turaev_complex,
     hayashi_complexity,
     homology_rank_check,
@@ -21,21 +24,84 @@ TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 PSEUDOTREF = parse_pd("X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]")
 CLASP2 = parse_pd("X[1,2,3,4] X[3,2,1,4]")
 
+# Floors on the dual cycles each signature comparison must reach.
+FLOOR_EXHAUSTIVE = 238_000
+FLOOR_RANDOM = 85_000
+FLOOR_PRIMES = {1: 21_000, 2: 24_000, None: 18_000}
+FLOOR_GRIDS = 13_000
+FLOOR_TORUSGRID = 272
 
-def square_grid(m: int, n: int) -> SurfaceDiagram:
-    """The alternating m x n square grid on the torus (m, n even).
 
-    Its shortest non-separating loop runs along a row or a column of
-    faces and meets min(m, n) edges.
+def state_surface(d: PlanarDiagram) -> SurfaceDiagram:
+    return from_turaev_complex(build_turaev_complex(d))
+
+
+def library_dual_cycles(s: SurfaceDiagram):
+    """Every dual cycle whose class the library reads, as a label tuple:
+    the single-edge loops, the face-pair edge pairs, ``is_reduced``'s
+    pushed-off sides and the fundamental cycle of every non-tree edge in
+    the breadth-first tree of every root face, as ``hayashi_complexity``
+    builds them."""
+    fod = s.face_of_dart
+    adjacency = [[] for _ in s.faces]
+    for lab, (d1, d2) in sorted(s.edge_darts.items()):
+        if fod[d1] == fod[d2]:
+            yield (lab,)
+        else:
+            adjacency[fod[d1]].append((fod[d2], lab))
+            adjacency[fod[d2]].append((fod[d1], lab))
+    for labs in s.face_pair_edges.values():
+        yield from combinations(labs, 2)
+    for c, row in enumerate(s.crossings):
+        for k in (0, 1):
+            if s.face_at_corner(c, k) == s.face_at_corner(c, k + 2):
+                yield (row[(k + 1) % 4], row[(k + 2) % 4])
+                yield (row[k], row[(k + 3) % 4])
+    for root in range(len(s.faces)):
+        path, up = {root: ()}, {root: None}
+        queue = [root]
+        for node in queue:
+            for nxt, lab in adjacency[node]:
+                if nxt not in path:
+                    path[nxt], up[nxt] = path[node] + (lab,), lab
+                    queue.append(nxt)
+        for node in range(len(s.faces)):
+            for nxt, lab in adjacency[node]:
+                if node < nxt and lab not in (up[node], up[nxt]):
+                    yield path[node] + path[nxt] + (lab,)
+
+
+def signature_class(s: SurfaceDiagram, labels) -> int:
+    out = 0
+    for lab in labels:
+        out ^= s.edge_signature[lab]
+    return out
+
+
+def compare_signatures(surfaces) -> int:
+    """Assert that signatures and the vertex span agree on every dual
+    cycle the library reads, and that the signature bits mark a homology
+    basis; the number of dual cycles compared.
+
+    Every vertex star reads 0, so each bit's edges form a primal cycle;
+    those 2g cycles are independent modulo the face boundaries. (A face
+    boundary is a primal cycle, not a dual one, so its edges' signatures
+    need not XOR to 0.)
     """
-    h = lambda i, j: 1 + (i % m) * n + (j % n)
-    v = lambda i, j: 1 + m * n + (i % m) * n + (j % n)
-    rows = []
-    for i in range(m):
-        for j in range(n):
-            ccw = [h(i, j), v(i, j), h(i, j - 1), v(i - 1, j)]
-            rows.append(ccw if (i + j) % 2 == 0 else ccw[1:] + ccw[:1])
-    return SurfaceDiagram.from_rows(rows)
+    compared = 0
+    for s in surfaces:
+        for labels in library_dual_cycles(s):
+            null = signature_class(s, labels) == 0
+            assert null == (s.chain_vector(labels) in s.vertex_span), (s.to_pd_text(), labels)
+            compared += 1
+        assert all(signature_class(s, row) == 0 for row in s.crossings), s.to_pd_text()
+        faces = [s.chain_vector(map(s.label, f.darts)) for f in s.faces]
+        basis = [
+            s.chain_vector(lab for lab, sig in s.edge_signature.items() if sig >> k & 1)
+            for k in range(2 * s.genus)
+        ]
+        assert _Gf2Span.of(faces + basis).rank == _Gf2Span.of(faces).rank + 2 * s.genus, s.to_pd_text()
+    return compared
 
 
 class TestSurfaceGenus:
@@ -135,7 +201,7 @@ class TestHayashi:
         tg = fixtures.torusgrid()
         assert hayashi_complexity(tg).value == oracles.hayashi_by_dual_dfs(tg) == 4
         for m, n in ((2, 4), (4, 6), (6, 6), (6, 8)):
-            s = square_grid(m, n)
+            s = fixtures.square_grid(m, n)
             assert is_alternating(s) and s.genus == 1
             assert hayashi_complexity(s).value == oracles.hayashi_by_dual_dfs(s) == min(m, n)
 
@@ -156,27 +222,78 @@ class TestFromComplex:
         assert sorted(s.edge_labels) == sorted(CLASP2.edge_labels)
 
 
+class TestEdgeSignature:
+    def test_exhaustive_state_surfaces(self):
+        assert compare_signatures(state_surface(d) for d in corpus.exhaustive(5)) >= FLOOR_EXHAUSTIVE
+
+    def test_random_corpus_state_surfaces(self, random_rows):
+        surfaces = (state_surface(PlanarDiagram(rows)) for rows in random_rows)
+        assert compare_signatures(surfaces) >= FLOOR_RANDOM
+
+    @pytest.mark.parametrize("cap", [1, 2, None], ids=["genus1", "genus2", "uncapped"])
+    def test_seeded_prime_state_surfaces(self, bench_inputs, cap):
+        rng = random.Random(20261019)
+        primes = [PlanarDiagram.from_rows(bench_inputs.prime_rows(rng, rng.randint(9, 40), cap)) for _ in range(30)]
+        surfaces = [state_surface(d) for d in primes]
+        if cap is None:
+            assert max(s.genus for s in surfaces) >= 3
+        else:
+            assert {s.genus for s in surfaces} == set(range(1, cap + 1))
+        assert compare_signatures(surfaces) >= FLOOR_PRIMES[cap]
+
+    def test_square_grids(self):
+        sizes = ((2, 2), (2, 4), (4, 4), (4, 6), (6, 4), (6, 6), (4, 12), (8, 8), (10, 6))
+        assert compare_signatures(fixtures.square_grid(m, n) for m, n in sizes) >= FLOOR_GRIDS
+
+    def test_torusgrid(self):
+        assert compare_signatures([fixtures.torusgrid()]) >= FLOOR_TORUSGRID
+
+    def test_bit_count_is_twice_the_genus(self):
+        for s in (fixtures.torusgrid(), state_surface(fixtures.gen2a()), SurfaceDiagram.from_planar(TREFOIL)):
+            bits = 0
+            for sig in s.edge_signature.values():
+                bits |= sig
+            assert bits == (1 << 2 * s.genus) - 1
+        with pytest.raises(TypeError):
+            fixtures.torusgrid().edge_signature[1] = 0
+
+    def test_disconnected_rows_raise(self):
+        # Built without validation: the spanning tree cannot reach crossing 1.
+        s = SurfaceDiagram(((1, 1, 2, 2), (3, 3, 4, 4)))
+        with pytest.raises(DiagramError, match="misses a crossing"):
+            s.edge_signature
+
+
+class TestLargeSurface:
+    @pytest.mark.parametrize("m, n, examined", [(24, 24, 126887), (16, 24, 32399)])
+    def test_square_grid_complexity(self, m, n, examined):
+        result = hayashi_complexity(fixtures.square_grid(m, n))
+        assert (result.value, result.examined) == (min(m, n), examined)
+
+
 class TestCachedSpan:
     @pytest.fixture()
-    def span_builds(self, monkeypatch):
-        """Every vertex-span build made during the test, as its diagram."""
+    def builds(self, monkeypatch):
+        """Every build of a cached surface fact made during the test, as
+        (fact name, diagram)."""
         log = []
-        real = SurfaceDiagram.vertex_span.func
+        for name in ("edge_signature", "vertex_span"):
+            real = getattr(SurfaceDiagram, name).func
 
-        def counted(s):
-            log.append(s)
-            return real(s)
+            def counted(s, name=name, real=real):
+                log.append((name, s))
+                return real(s)
 
-        prop = cached_property(counted)
-        prop.__set_name__(SurfaceDiagram, "vertex_span")
-        monkeypatch.setattr(SurfaceDiagram, "vertex_span", prop)
+            prop = cached_property(counted)
+            prop.__set_name__(SurfaceDiagram, name)
+            monkeypatch.setattr(SurfaceDiagram, name, prop)
         return log
 
-    def test_check_builds_the_span_once(self, span_builds):
+    def test_check_builds_the_span_once(self, builds):
         out = cli._check_worker(PSEUDOTREF.to_pd_text(), from_turaev=True)
         assert out["verdict"] == "loop-found"
         assert out["hayashi"]["complexity"] == 2
-        assert len(span_builds) == 1
+        assert sorted(name for name, s in builds) == ["edge_signature", "vertex_span"]
 
     def test_readers_share_the_cached_span(self):
         s = fixtures.torusgrid()
