@@ -18,8 +18,6 @@ from .pdcore import (
 )
 from .states import (
     AdequacyReport,
-    TuraevCellComplex,
-    build_turaev_complex,
     loop_crossings,
     state_circles,
     turaev_genus,
@@ -40,8 +38,6 @@ __all__ = [
     "mirror",
     "parse_pd",
     "AdequacyReport",
-    "TuraevCellComplex",
-    "build_turaev_complex",
     "loop_crossings",
     "state_circles",
     "turaev_genus",

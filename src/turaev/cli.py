@@ -140,7 +140,7 @@ def _check_worker(text: str, *, from_turaev: bool, max_dual_len=None) -> dict:
     try:
         if from_turaev:
             d = parse_pd(text)
-            s = surfcheck.from_turaev_complex(states.build_turaev_complex(d))
+            s = surfcheck.turaev_surface(d)
         else:
             s = surfcheck.parse_surface(text)
     except DiagramError as exc:

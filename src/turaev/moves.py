@@ -455,23 +455,27 @@ def core_arc(diagram: PlanarDiagram, c: int) -> surgery.CuttingArc | None:
     """
     report = loop_crossings(diagram)
     if c in report.a_loops:
-        circles = diagram.a_circles
-        corner_pairs = ((1, 2), (3, 0))
-        own_corner = 0
+        mask, corner_pairs = 1, ((1, 2), (3, 0))
     elif c in report.b_loops:
-        circles = diagram.b_circles
-        corner_pairs = ((0, 1), (2, 3))
-        own_corner = 1
+        mask, corner_pairs = 3, ((0, 1), (2, 3))
     else:
         raise DiagramError(f"crossing {c} is not a loop crossing")
-    loop_circle = circles.circle_of_corner[(c, own_corner)]
-    # Sub-arc lengths between the two visits along the loop circle.
-    circ = circles.circles[loop_circle]
-    visits = [k for k, corner in enumerate(circ.corners) if corner[0] == c]
+    # Sub-arc lengths between the two visits: walk the loop circle from
+    # the dart leaving c at slot 0 and count the steps between landings
+    # at c.
+    alpha = diagram.alpha
+    visits, steps, d = [], 0, 4 * c
+    while True:
+        steps += 1
+        if alpha[d] >> 2 == c:
+            visits.append(steps)
+            steps = 0
+        d = alpha[d] ^ mask
+        if d == 4 * c:
+            break
     if len(visits) != 2:
         raise DiagramError("loop circle does not visit the crossing twice")
-    len1 = visits[1] - visits[0]
-    len2 = len(circ.darts) - len1
+    len1, len2 = visits
 
     candidates = []
     for (s1, s2) in corner_pairs:
@@ -507,8 +511,7 @@ def core_arc(diagram: PlanarDiagram, c: int) -> surgery.CuttingArc | None:
             return arc
     # Not a cutting arc in the strict sense (an endpoint edge alternates);
     # report the raw arc data with circle ids of the shared circles.
-    sa = diagram.a_circles.circle_of_edge(diagram)
-    sb = diagram.b_circles.circle_of_edge(diagram)
+    sa, sb = diagram.edge_circles
     if sa[e1] != sa[e2] or sb[e1] != sb[e2]:
         raise DiagramError("surgery arc does not share its state circles")
     return surgery.CuttingArc(face, (pos[0], pos[1]), (e1, e2), sa[e1], sb[e1])

@@ -22,8 +22,9 @@ A diagram is accepted as planar when every edge label occurs twice, the
 4-valent graph is connected, and V - E + F = 2 for the traced faces.
 
 ``RotationSystem`` computes these once per diagram and keeps them;
-``PlanarDiagram`` adds the planar facts (state circles and their counts,
-Turaev genus, coloring, signs, composite circles) the same way.
+``PlanarDiagram`` adds the planar facts (each edge's state circles, the
+circle counts, Turaev genus, coloring, signs, composite circles) the same
+way.
 
 Text format: whitespace-separated terms ``X[a,b,c,d]`` with positive
 integer edge labels; the order of terms is the crossing index. JSON mirror:
@@ -153,19 +154,29 @@ def _crossing_classes(n: int, links: Iterable[tuple[int, int]]) -> list[list[int
     return sorted(groups.values())
 
 
-def _orbit_count(alpha: Sequence[int], mask: int) -> int:
-    """Number of orbits of the dart permutation ``d -> alpha[d] ^ mask``."""
-    seen = bytearray(len(alpha))
-    orbits = 0
-    for start in range(len(alpha)):
-        if seen[start]:
-            continue
-        orbits += 1
-        d = start
-        while not seen[d]:
-            seen[d] = 1
-            d = alpha[d] ^ mask
-    return orbits
+def _edge_circles(alpha: Sequence[int], labels: Sequence[int]) -> tuple[Mapping[int, int], Mapping[int, int]]:
+    """Per smoothing mask 1 and 3: label -> id of the orbit of
+    ``d -> alpha[d] ^ mask`` through the edge, ids in the order of the
+    orbits' smallest labels. An orbit meets each of its edges once, and
+    the reverse orbit of a circle meets the same edges."""
+    dart_of = dict(zip(labels, range(len(labels))))
+    order = sorted(dart_of)
+    out = []
+    for mask in (1, 3):
+        ids: dict[int, int] = {}
+        n_ids = 0
+        for lab in order:
+            if lab in ids:
+                continue
+            start = d = dart_of[lab]
+            while True:
+                ids[labels[d]] = n_ids
+                d = alpha[d] ^ mask
+                if d == start:
+                    break
+            n_ids += 1
+        out.append(MappingProxyType(ids))
+    return out[0], out[1]
 
 
 @dataclass(frozen=True)
@@ -307,10 +318,11 @@ class RotationSystem:
 class PlanarDiagram(RotationSystem):
     """An immutable planar link diagram.
 
-    Besides the rotation-system facts it caches the all-A and all-B state
-    circles, their counts, the Turaev genus, the default checkerboard
-    coloring, the crossing signs and the composite circles. The counts, and
-    so the genus, come from dart orbits without tracing the circles.
+    Besides the rotation-system facts it caches each edge's all-A and
+    all-B state circle, the circle counts, the Turaev genus, the default
+    checkerboard coloring, the crossing signs and the composite circles.
+    The circle ids, and so the counts and the genus, come from dart orbits
+    without tracing the circles.
     """
 
     @staticmethod
@@ -332,30 +344,24 @@ class PlanarDiagram(RotationSystem):
                 raise DiagramError(f"rotation system is not planar: V-E+F = {chi} on component {i}")
 
     @cached_property
-    def a_circles(self):
-        """The all-A state circles (``states.StateCircles``)."""
-        from . import states
+    def edge_circles(self) -> tuple[Mapping[int, int], Mapping[int, int]]:
+        """label -> id of the all-A, and of the all-B, state circle through
+        the edge.
 
-        return states.state_circles(self, ("A",) * self.n)
-
-    @cached_property
-    def b_circles(self):
-        """The all-B state circles (``states.StateCircles``)."""
-        from . import states
-
-        return states.state_circles(self, ("B",) * self.n)
+        The A-smoothing pairs slot s with s ^ 1 and the B-smoothing with
+        s ^ 3, so ``d -> alpha[d] ^ 1`` (``^ 3``) walks an all-A (all-B)
+        circle dart by dart, one edge per step. Circles are numbered by
+        their smallest edge label, as ``states.state_circles`` numbers
+        them. No circle is built.
+        """
+        return _edge_circles(self.alpha, [lab for row in self.crossings for lab in row])
 
     @cached_property
     def circle_counts(self) -> tuple[int, int]:
-        """(|s_A|, |s_B|), the numbers of all-A and all-B state circles.
-
-        The A-smoothing pairs slot s with s ^ 1 and the B-smoothing with
-        s ^ 3, so ``d -> alpha[d] ^ 1`` (``^ 3``) walks the all-A (all-B)
-        circles dart by dart. Each circle is two orbits, one per direction,
-        so each count is half the orbit count. No circle is built.
-        """
-        alpha = self.alpha
-        return _orbit_count(alpha, 1) // 2, _orbit_count(alpha, 3) // 2
+        """(|s_A|, |s_B|), the numbers of all-A and all-B state circles,
+        read off ``edge_circles``."""
+        a_ids, b_ids = self.edge_circles
+        return max(a_ids.values()) + 1, max(b_ids.values()) + 1
 
     @cached_property
     def genus(self) -> int:

@@ -6,15 +6,15 @@ joins the corners between slots (0,1) and (2,3), so it pairs slot s with
 s ^ 1; the B-smoothing joins the corners between slots (1,2) and (3,0),
 pairing s with s ^ 3. Tracing the smoothed diagram gives a disjoint union
 of circles; the genus of the closed orientable surface spanned between the
-all-A and all-B circle families is
+all-A and all-B circle families (the Turaev surface, which
+``surfcheck.turaev_surface`` writes from the crossing signs) is
 
     g = (c + 2 - |s_A| - |s_B|) / 2.
 
-The genus needs only the two counts, which ``PlanarDiagram.circle_counts``
-reads off dart orbits without tracing a circle. ``state_circles`` traces
-the circles themselves, for the readers of their darts and corners:
-adequacy, cutting arcs and the Turaev cell complex, whose Euler check
-compares the traced counts with the orbit counts.
+The genus needs only the two counts, and adequacy only which circle each
+edge lies on; ``PlanarDiagram.edge_circles`` reads both off dart orbits
+without tracing a circle. ``state_circles`` traces the circles themselves,
+with their darts and corners, for any state.
 """
 
 from __future__ import annotations
@@ -72,23 +72,6 @@ class StateCircles:
     def n(self) -> int:
         return len(self.circles)
 
-    def circle_of_edge(self, diagram: PlanarDiagram) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for circ in self.circles:
-            for lab in circ.edges(diagram):
-                if lab in out:
-                    raise DiagramError(f"edge {lab} traversed by two circles")
-                out[lab] = circ.id
-        return out
-
-    @property
-    def circle_of_corner(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for circ in self.circles:
-            for corner in circ.corners:
-                out[corner] = circ.id
-        return out
-
 
 def state_circles(diagram: PlanarDiagram, state: Sequence[str]) -> StateCircles:
     """Trace the circles of a state.
@@ -145,98 +128,9 @@ def state_circles(diagram: PlanarDiagram, state: Sequence[str]) -> StateCircles:
 
 
 def turaev_genus(diagram: PlanarDiagram) -> int:
-    """(c + 2 - |s_A| - |s_B|) / 2 for a connected diagram, from the
-    orbit counts of ``PlanarDiagram.circle_counts``."""
+    """(c + 2 - |s_A| - |s_B|) / 2 for a connected diagram, from
+    ``PlanarDiagram.circle_counts``."""
     return diagram.genus
-
-
-@dataclass(frozen=True)
-class TuraevCellComplex:
-    """Cell decomposition of the spanning surface.
-
-    Vertices are the crossings, edges the diagram edges, 2-cells the all-A
-    circles (white) and all-B circles (black). ``orientations[cell]`` is
-    +1 to use the traced direction and -1 for its reverse; with these
-    choices every edge is traversed once in each direction, which
-    witnesses orientability.
-    """
-
-    diagram: PlanarDiagram
-    a_circles: StateCircles
-    b_circles: StateCircles
-    orientations: tuple[int, ...]  # a-circles first, then b-circles
-
-    @property
-    def euler(self) -> int:
-        return self.diagram.n - 2 * self.diagram.n + self.a_circles.n + self.b_circles.n
-
-    @property
-    def genus(self) -> int:
-        return (2 - self.euler) // 2
-
-    @property
-    def cells(self) -> tuple[tuple[str, Circle], ...]:
-        return tuple([("A", c) for c in self.a_circles.circles] + [("B", c) for c in self.b_circles.circles])
-
-    def oriented_walk(self, cell_index: int) -> tuple[int, ...]:
-        """Boundary walk of a 2-cell with the witness orientation applied."""
-        kind, circ = self.cells[cell_index]
-        if self.orientations[cell_index] == 1:
-            return circ.darts
-        alpha = self.diagram.alpha
-        return tuple(alpha[d] for d in reversed(circ.darts))
-
-
-def build_turaev_complex(diagram: PlanarDiagram) -> TuraevCellComplex:
-    if not diagram.is_connected:
-        raise DiagramError("the Turaev surface is built for connected diagrams")
-    sa, sb = diagram.a_circles, diagram.b_circles
-    # Dart used by the traced direction of each circle, per edge.
-    a_dir: dict[int, tuple[int, int]] = {}
-    for circ in sa.circles:
-        for d in circ.darts:
-            lab = diagram.label(d)
-            if lab in a_dir:
-                raise DiagramError(f"edge {lab} on two all-A cells")
-            a_dir[lab] = (circ.id, d)
-    b_dir: dict[int, tuple[int, int]] = {}
-    for circ in sb.circles:
-        for d in circ.darts:
-            lab = diagram.label(d)
-            if lab in b_dir:
-                raise DiagramError(f"edge {lab} on two all-B cells")
-            b_dir[lab] = (circ.id, d)
-    if set(a_dir) != set(b_dir):
-        raise DiagramError("cell boundaries do not cover the edges twice")
-    # Choose cell orientations so the two sides of every edge disagree.
-    n_cells = sa.n + sb.n
-    flips: list[int | None] = [None] * n_cells
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_cells)]
-    for lab in a_dir:
-        ca, da = a_dir[lab]
-        cb, db = b_dir[lab]
-        parity = 1 if da == db else 0  # same dart: exactly one cell must flip
-        adj[ca].append((sa.n + cb, parity))
-        adj[sa.n + cb].append((ca, parity))
-    for seed in range(n_cells):
-        if flips[seed] is not None:
-            continue
-        flips[seed] = 0
-        stack = [seed]
-        while stack:
-            u = stack.pop()
-            for v, parity in adj[u]:
-                want = flips[u] ^ parity
-                if flips[v] is None:
-                    flips[v] = want
-                    stack.append(v)
-                elif flips[v] != want:
-                    raise DiagramError("cell complex is not orientable")
-    orientations = tuple(1 if f == 0 else -1 for f in flips)  # type: ignore[arg-type]
-    complex_ = TuraevCellComplex(diagram, sa, sb, orientations)
-    if complex_.euler != 2 - 2 * diagram.genus:
-        raise DiagramError("Euler characteristic disagrees with the genus formula")
-    return complex_
 
 
 # -- adequacy ----------------------------------------------------------------
@@ -268,22 +162,28 @@ class AdequacyReport:
 
 
 def loop_crossings(diagram: PlanarDiagram) -> AdequacyReport:
-    """Crossings whose two same-state corners land on one state circle."""
-    amap = diagram.a_circles.circle_of_corner
-    bmap = diagram.b_circles.circle_of_corner
-    a_loops = tuple(c for c in range(diagram.n) if amap[(c, 0)] == amap[(c, 2)])
-    b_loops = tuple(c for c in range(diagram.n) if bmap[(c, 1)] == bmap[(c, 3)])
+    """Crossings whose two same-state corners land on one state circle.
+
+    The A-smoothing joins slots 0 and 1, and 2 and 3, so a crossing is an
+    A-loop when the edges at slots 0 and 2 share their all-A circle; the
+    B-smoothing joins 1 and 2, and 3 and 0, so a B-loop when the edges at
+    slots 1 and 3 share their all-B circle.
+    """
+    a_ids, b_ids = diagram.edge_circles
+    rows = diagram.crossings
+    a_loops = tuple(c for c, row in enumerate(rows) if a_ids[row[0]] == a_ids[row[2]])
+    b_loops = tuple(c for c, row in enumerate(rows) if b_ids[row[1]] == b_ids[row[3]])
     return AdequacyReport(a_loops, b_loops)
 
 
 def diagram_report(diagram: PlanarDiagram) -> dict:
-    sa, sb = diagram.a_circles, diagram.b_circles
+    na, nb = diagram.circle_counts
     adequacy = loop_crossings(diagram)
     return {
         "c": diagram.n,
-        "sA": sa.n,
-        "sB": sb.n,
-        "genus": (diagram.n + 2 - sa.n - sb.n) // 2,
+        "sA": na,
+        "sB": nb,
+        "genus": diagram.genus,
         "adequacy": adequacy.verdict,
         "loopCrossings": {"A": list(adequacy.a_loops), "B": list(adequacy.b_loops)},
     }

@@ -21,6 +21,20 @@ state surface of a prime non-alternating planar diagram, the genus
 reduction arc guarantees a homologically nontrivial loop meeting the
 diagram exactly twice, so an alternating cellular diagram without one
 cannot arise that way.
+
+That state surface is the Turaev surface (Dasbach, Futer, Kalfagianni,
+Lin & Stoltzfus, "The Jones polynomial and graphs on surfaces", JCTB
+2008): the diagram's 4-valent graph cellularly embedded with the all-A
+and all-B circles as its faces. ``turaev_surface`` writes it from the
+crossing signs alone. Its rotation is the planar one at the crossings of
+one checkerboard sign and the reversed one at the others. A face walk
+then turns, at each crossing, the way an all-A or an all-B circle turns,
+chosen by slot parity XOR sign; an alternating edge joins crossings of
+equal sign and a non-alternating edge crossings of opposite sign, so the
+choice holds along the whole walk, and every face is one state circle.
+Turning by one slot the rows of the crossings of one sign (those signed
+unlike crossing 0) swaps over and under there and makes every edge
+alternate, by the same parity count.
 """
 
 from __future__ import annotations
@@ -41,7 +55,6 @@ from .pdcore import (
     is_alternating,
     read_rows,
 )
-from .states import TuraevCellComplex
 
 
 @dataclass(frozen=True)
@@ -383,89 +396,32 @@ def hayashi_complexity(s: SurfaceDiagram) -> HayashiResult:
     return HayashiResult(best, examined)
 
 
-# -- re-expressing a state surface complex as a surface diagram ---------------
+# -- the Turaev surface of a planar diagram ---------------------------------
 
 
-def from_turaev_complex(complex_: TuraevCellComplex) -> SurfaceDiagram:
-    """The diagram on its spanning state surface, as a rotation system.
+def turaev_surface(diagram: PlanarDiagram) -> SurfaceDiagram:
+    """The diagram on its Turaev surface, as an alternating rotation system
+    with the diagram's edge labels.
 
-    The oriented 2-cell walks define the face permutation; composing with
-    the edge involution gives the rotation at each crossing. Over/under is
-    reassigned per crossing so that every edge alternates, which the
-    surface always admits.
+    Written straight from the crossing signs, by the rule in the module
+    docstring. Of the two orientations, the one written reverses the
+    rotation at the crossings signed like the lowest-numbered crossing on
+    the all-A circle through the smallest edge label (so at every crossing
+    of an alternating diagram), and crossing 0 keeps its under-strand.
     """
-    diagram = complex_.diagram
-    nd = diagram.n_darts
-    alpha = diagram.alpha
-    phi = [-1] * nd
-    for cell_index in range(len(complex_.cells)):
-        walk = complex_.oriented_walk(cell_index)
-        for i, d in enumerate(walk):
-            nxt = walk[(i + 1) % len(walk)]
-            if phi[d] != -1:
-                raise DiagramError("cell walks overlap; orientation witness invalid")
-            phi[d] = nxt
-    if any(p < 0 for p in phi):
-        raise DiagramError("cell walks do not cover every dart")
-    rot = [phi[alpha[d]] for d in range(nd)]
-    # Group darts into rotation cycles per crossing; they must be 4-cycles
-    # alternating between the two strands of the crossing.
-    new_rows: list[list[int]] = []
-    order: list[list[int]] = []
-    for c in range(diagram.n):
-        d0 = 4 * c
-        cycle = [d0]
-        while True:
-            nxt = rot[cycle[-1]]
-            if nxt == d0:
-                break
-            cycle.append(nxt)
-            if len(cycle) > 4:
-                raise DiagramError("rotation orbit exceeds the crossing valence")
-        if len(cycle) != 4 or any(d >> 2 != c for d in cycle):
-            raise DiagramError("rotation orbits do not match the crossings")
-        if (cycle[0] & 1) != (cycle[2] & 1) or (cycle[1] & 1) != (cycle[3] & 1):
-            raise DiagramError("strands do not interleave around a crossing")
-        order.append(cycle)
-    # Choose per crossing which strand counts as under so that every edge
-    # alternates on the surface; propagate the parity constraints.
-    flip: list[int | None] = [None] * diagram.n
-    # under_parity[c] = parity bit (dart & 1) of the strand taken as under
-    # when flip[c] == 0.
-    constraints: list[list[tuple[int, int]]] = [[] for _ in range(diagram.n)]
-    pos_in_cycle = {}
-    for c, cycle in enumerate(order):
-        for k, d in enumerate(cycle):
-            pos_in_cycle[d] = k
-    for d1 in range(nd):
-        d2 = alpha[d1]
-        if d1 > d2:
-            continue
-        c1, c2 = d1 >> 2, d2 >> 2
-        # End is "under with flip 0" iff its cycle position is even.
-        p1 = pos_in_cycle[d1] & 1
-        p2 = pos_in_cycle[d2] & 1
-        # Alternation requires underness to differ: flip1 ^ flip2 == p1 ^ p2 ^ 1.
-        constraints[c1].append((c2, p1 ^ p2 ^ 1))
-        constraints[c2].append((c1, p1 ^ p2 ^ 1))
-    flip[0] = 0
-    stack = [0]
-    while stack:
-        c = stack.pop()
-        for c2, want in constraints[c]:
-            target = flip[c] ^ want
-            if flip[c2] is None:
-                flip[c2] = target
-                stack.append(c2)
-            elif flip[c2] != target:
-                raise DiagramError("surface diagram cannot be made alternating")
-    for c, cycle in enumerate(order):
-        shift = flip[c] or 0
-        arranged = cycle[shift:] + cycle[:shift]
-        new_rows.append([diagram.label(d) for d in arranged])
-    out = SurfaceDiagram.from_rows(new_rows)
-    if out.genus != complex_.genus:
-        raise DiagramError("surface genus disagrees with the cell complex")
+    if not diagram.is_connected:
+        raise DiagramError("the Turaev surface is built for connected diagrams")
+    flip = [0 if diagram.signs[c] == 1 else 1 for c in range(diagram.n)]
+    a_ids = diagram.edge_circles[0]
+    first = min(d1 for lab, (d1, _) in diagram.edge_darts.items() if a_ids[lab] == 0) >> 2
+    rows = []
+    for c, row in enumerate(diagram.crossings):
+        order = (0, 3, 2, 1) if flip[c] == flip[first] else (0, 1, 2, 3)
+        turn = flip[c] ^ flip[0]
+        rows.append(tuple(row[slot] for slot in order[turn:] + order[:turn]))
+    out = SurfaceDiagram.from_rows(rows)
+    if out.genus != diagram.genus:
+        raise DiagramError(f"surface genus {out.genus} disagrees with the Turaev genus {diagram.genus}")
     if not is_alternating(out):
-        raise DiagramError("re-expressed diagram is not alternating")
+        raise DiagramError("Turaev surface diagram is not alternating")
     return out

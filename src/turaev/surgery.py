@@ -96,8 +96,7 @@ def _face_arcs(diagram: PlanarDiagram) -> list[tuple[int, int, CuttingArc | None
     both their all-A and their all-B circle."""
     _require_surgery_input(diagram)
     alt = diagram.alternation
-    a_of = diagram.a_circles.circle_of_edge(diagram)
-    b_of = diagram.b_circles.circle_of_edge(diagram)
+    a_of, b_of = diagram.edge_circles
     out = []
     for face in diagram.faces:
         spots = [(i, diagram.label(d)) for i, d in enumerate(face.darts) if not alt[diagram.label(d)]]

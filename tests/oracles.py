@@ -535,3 +535,84 @@ def genus_one_cycle_by_junction_pairing(diagram):
     if white is None:
         raise Refused("non-alternating edges are not carried by two faces of one color")
     return tuple(order), tuple(junctions), white
+
+
+def turaev_surface_by_cell_orientation(diagram):
+    """Rows of the diagram on its Turaev surface, by a search for a
+    consistent orientation of the traced state circles.
+
+    The all-A and all-B circles are the 2-cells. Their orientations are
+    2-coloured so that the two cells along every edge traverse it in
+    opposite directions; the oriented walks give the face permutation, and
+    composing with the edge involution gives the rotation at each crossing.
+    A second parity propagation then picks over and under per crossing so
+    that every edge alternates.
+
+    The reference for ``surfcheck.turaev_surface``, which writes the rows
+    directly from the crossing signs.
+    """
+    from turaev.pdcore import DiagramError
+    from turaev.states import all_a, all_b, state_circles
+
+    alpha, nd = diagram.alpha, diagram.n_darts
+    cells = list(state_circles(diagram, all_a(diagram)).circles) + list(
+        state_circles(diagram, all_b(diagram)).circles
+    )
+    # Per edge, the cells on it with the dart each traced walk uses.
+    sides = {}
+    for k, circ in enumerate(cells):
+        for d in circ.darts:
+            sides.setdefault(diagram.label(d), []).append((k, d))
+    adjacency = [[] for _ in cells]
+    for (k1, d1), (k2, d2) in sides.values():
+        parity = 1 if d1 == d2 else 0  # one dart used twice: one cell flips
+        adjacency[k1].append((k2, parity))
+        adjacency[k2].append((k1, parity))
+    flips = _two_colour(adjacency, "cell complex is not orientable")
+    phi = [-1] * nd
+    for k, circ in enumerate(cells):
+        walk = circ.darts if flips[k] == 0 else tuple(alpha[d] for d in reversed(circ.darts))
+        for i, d in enumerate(walk):
+            phi[d] = walk[(i + 1) % len(walk)]
+    rot = [phi[alpha[d]] for d in range(nd)]
+    cycles = []
+    for c in range(diagram.n):
+        cycle = [4 * c]
+        while rot[cycle[-1]] != 4 * c:
+            cycle.append(rot[cycle[-1]])
+        if len(cycle) != 4 or any(d >> 2 != c for d in cycle):
+            raise DiagramError("rotation orbits do not match the crossings")
+        cycles.append(cycle)
+    position = {d: k for cycle in cycles for k, d in enumerate(cycle)}
+    # An end is under when its cycle position is even and its crossing is
+    # not turned; an edge alternates when its ends differ.
+    links = [[] for _ in range(diagram.n)]
+    for d1 in range(nd):
+        d2 = alpha[d1]
+        want = (position[d1] ^ position[d2] ^ 1) & 1
+        links[d1 >> 2].append((d2 >> 2, want))
+    turns = _two_colour(links, "surface diagram cannot be made alternating")
+    return tuple(
+        tuple(diagram.label(d) for d in cycle[turn:] + cycle[:turn]) for cycle, turn in zip(cycles, turns)
+    )
+
+
+def _two_colour(adjacency, failure):
+    """Bits on the nodes of a connected graph, node 0 taking 0, so that
+    every link (node, want) joins bits differing by ``want``."""
+    from turaev.pdcore import DiagramError
+
+    bits = [None] * len(adjacency)
+    bits[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, want in adjacency[u]:
+            if bits[v] is None:
+                bits[v] = bits[u] ^ want
+                stack.append(v)
+            elif bits[v] != bits[u] ^ want:
+                raise DiagramError(failure)
+    if None in bits:
+        raise DiagramError("graph is disconnected")
+    return bits

@@ -19,8 +19,8 @@ from turaev.pdcore import (
     mirror,
     relabel,
 )
-from turaev.states import all_a, all_b, build_turaev_complex, loop_crossings, state_circles
-from turaev.surfcheck import from_turaev_complex, hayashi_complexity, two_intersection_loops
+from turaev.states import all_a, all_b, loop_crossings, state_circles
+from turaev.surfcheck import hayashi_complexity, turaev_surface, two_intersection_loops
 from turaev.surgery import find_cutting_arcs, outermost_bigon_arc, split_step, surger_cutting_arc
 from turaev.tangles import classify_genus_one, classify_genus_two, gen_cycle
 
@@ -38,14 +38,17 @@ def _report(criterion: int, text: str) -> None:
 
 
 def test_criterion_1_euler_genus_cross_check(corpus_facts):
-    """Formula genus equals (2 - euler) / 2 of the built cell complex."""
+    """Formula genus equals (2 - euler) / 2 of the Turaev surface, whose
+    faces are the all-A and all-B circles."""
     checked = 0
     for rows, na, nb, genus, _, _, _ in corpus_facts:
         d = PlanarDiagram(rows)
-        cx = build_turaev_complex(d)
-        assert cx.a_circles.n == na and cx.b_circles.n == nb, d.to_pd_text()
-        assert (2 - cx.euler) // 2 == genus, d.to_pd_text()
-        assert cx.euler == 2 - 2 * genus, d.to_pd_text()
+        s = turaev_surface(d)
+        faces = sum(oracles.circle_count_unionfind(rows, st * len(rows)) for st in "AB")
+        assert len(s.faces) == faces == na + nb, d.to_pd_text()
+        euler = s.n - s.n_edges + len(s.faces)
+        assert (2 - euler) // 2 == genus, d.to_pd_text()
+        assert euler == 2 - 2 * genus, d.to_pd_text()
         checked += 1
     _report(1, f"Euler/genus cross-check exact on {checked} diagrams")
 
@@ -209,7 +212,7 @@ def test_criterion_8_surface_complexity(corpus_facts):
         if not prime or alternating:
             continue
         d = PlanarDiagram(rows)
-        s = from_turaev_complex(build_turaev_complex(d))
+        s = turaev_surface(d)
         result = hayashi_complexity(s)
         assert result.value == 2 and result.certified, d.to_pd_text()
         report = two_intersection_loops(s)

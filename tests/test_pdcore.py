@@ -240,7 +240,7 @@ class TestCachedFacts:
         assert checkerboard(d) is checkerboard(d)
         assert crossing_signs(d) is crossing_signs(d)
         assert edge_alternation(d) is edge_alternation(d)
-        assert d.a_circles is d.a_circles and d.b_circles is d.b_circles
+        assert d.edge_circles is d.edge_circles
 
     def test_cached_mappings_are_read_only(self):
         d = parse_pd(PSEUDOTREF)
@@ -251,6 +251,8 @@ class TestCachedFacts:
             crossing_signs(d)[0] = 1
         with pytest.raises(TypeError):
             d.edge_darts[lab] = (0, 1)
+        with pytest.raises(TypeError):
+            d.edge_circles[0][lab] = 0
 
     def test_anchored_facts_stay_fresh(self):
         d = parse_pd(TREFOIL)

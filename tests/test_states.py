@@ -7,13 +7,13 @@ from turaev.pdcore import DiagramError, PlanarDiagram, mirror, parse_pd
 from turaev.states import (
     all_a,
     all_b,
-    build_turaev_complex,
     diagram_report,
     diagram_report_json,
     loop_crossings,
     state_circles,
     turaev_genus,
 )
+from turaev.surfcheck import turaev_surface
 
 import oracles
 
@@ -110,41 +110,55 @@ class TestGenus:
             turaev_genus(d)
 
 
+def euler(s) -> int:
+    return s.n - s.n_edges + len(s.faces)
+
+
 class TestComplex:
+    """The Turaev surface's cells are the all-A and all-B circles."""
+
     def test_trefoil_sphere(self):
-        assert build_turaev_complex(TREFOIL).euler == 2
+        assert euler(turaev_surface(TREFOIL)) == 2
 
     def test_clasp2_torus_counts(self):
-        cx = build_turaev_complex(CLASP2)
-        assert cx.euler == 0
-        assert cx.diagram.n == 2
-        assert cx.diagram.n_edges == 4
-        assert cx.a_circles.n + cx.b_circles.n == 2
+        s = turaev_surface(CLASP2)
+        assert euler(s) == 0
+        assert s.n == 2
+        assert s.n_edges == 4
+        assert len(s.faces) == sum(CLASP2.circle_counts) == 2
 
     def test_every_edge_on_one_a_and_one_b_cell(self):
         for d in (KINK, TREFOIL, PSEUDOTREF, CLASP2):
-            cx = build_turaev_complex(d)
-            a_edges = [lab for c in cx.a_circles.circles for lab in c.edges(d)]
-            b_edges = [lab for c in cx.b_circles.circles for lab in c.edges(d)]
-            assert sorted(a_edges) == sorted(d.edge_labels)
-            assert sorted(b_edges) == sorted(d.edge_labels)
+            a_ids, b_ids = d.edge_circles
+            assert sorted(a_ids) == sorted(b_ids) == sorted(d.edge_labels)
+            assert len(turaev_surface(d).faces) == sum(d.circle_counts)
 
     def test_orientation_witness(self):
+        # Every dart lies on one face walk, so every edge is traversed once
+        # in each direction: the surface is oriented.
         for d in (TREFOIL, PSEUDOTREF, CLASP2):
-            cx = build_turaev_complex(d)
-            used = {}
-            for idx in range(len(cx.cells)):
-                for dart in cx.oriented_walk(idx):
-                    assert dart not in used
-                    used[dart] = idx
-            assert len(used) == d.n_darts
+            s = turaev_surface(d)
+            walked = [dart for f in s.faces for dart in f.darts]
+            assert sorted(walked) == list(range(d.n_darts))
 
     def test_genus_matches_formula(self, small_exhaustive_rows):
         for rows in small_exhaustive_rows:
             d = PlanarDiagram(rows)
-            cx = build_turaev_complex(d)
-            assert cx.genus == turaev_genus(d)
-            assert cx.euler == 2 - 2 * cx.genus
+            s = turaev_surface(d)
+            assert s.genus == turaev_genus(d)
+            assert euler(s) == 2 - 2 * s.genus
+
+
+class TestCircleIds:
+    def test_ids_match_the_traced_circles(self, exhaustive_rows, random_rows):
+        checked = 0
+        for rows in [rows for rows in exhaustive_rows if len(rows) <= 5] + list(random_rows):
+            d = PlanarDiagram(rows)
+            for ids, st in zip(d.edge_circles, (all_a(d), all_b(d))):
+                traced = {lab: circ.id for circ in state_circles(d, st).circles for lab in circ.edges(d)}
+                assert dict(ids) == traced, d
+            checked += 1
+        assert checked == 5211 + len(random_rows)
 
 
 class TestAdequacy:
@@ -210,24 +224,14 @@ class TestReport:
 
 
 class TestTraceCounts:
-    def test_report_traces_each_family_once(self, traces):
+    def test_complex_and_genus_reuse_the_report_traces(self, traces):
         from turaev.corpus import random_corpus
 
-        diagrams = random_corpus(3, 40, 10)
+        diagrams = random_corpus(3, 40, 10) + [PlanarDiagram.from_rows(fixtures.gen2a().crossings)]
         traces.clear()
         for d in diagrams:
             diagram_report(d)
-            diagram_report(d)
-        assert len(traces) == 2 * len(diagrams)
-        assert {(id(d), st) for d, st in traces} == {
-            (id(d), st) for d in diagrams for st in (all_a(d), all_b(d))
-        }
-
-    def test_complex_and_genus_reuse_the_report_traces(self, traces):
-        d = PlanarDiagram.from_rows(fixtures.gen2a().crossings)
-        traces.clear()
-        diagram_report(d)
-        build_turaev_complex(d)
-        turaev_genus(d)
-        loop_crossings(d)
-        assert len(traces) == 2
+            turaev_surface(d)
+            turaev_genus(d)
+            loop_crossings(d)
+        assert traces == []

@@ -5,16 +5,16 @@ from itertools import combinations
 import pytest
 
 from turaev import cli, corpus, fixtures
-from turaev.pdcore import DiagramError, PlanarDiagram, Refused, is_alternating, parse_pd
-from turaev.states import build_turaev_complex
+from turaev.pdcore import DiagramError, PlanarDiagram, Refused, is_alternating, mirror, parse_pd
+from turaev.states import all_a, all_b, state_circles
 from turaev.surfcheck import (
     SurfaceDiagram,
     _Gf2Span,
-    from_turaev_complex,
     hayashi_complexity,
     homology_rank_check,
     is_reduced,
     parse_surface,
+    turaev_surface,
     two_intersection_loops,
 )
 
@@ -30,10 +30,6 @@ FLOOR_RANDOM = 85_000
 FLOOR_PRIMES = {1: 21_000, 2: 24_000, None: 18_000}
 FLOOR_GRIDS = 13_000
 FLOOR_TORUSGRID = 272
-
-
-def state_surface(d: PlanarDiagram) -> SurfaceDiagram:
-    return from_turaev_complex(build_turaev_complex(d))
 
 
 def library_dual_cycles(s: SurfaceDiagram):
@@ -109,7 +105,7 @@ class TestSurfaceGenus:
         assert SurfaceDiagram.from_planar(TREFOIL).genus == 0
 
     def test_clasp2_complex_torus(self):
-        s = from_turaev_complex(build_turaev_complex(CLASP2))
+        s = turaev_surface(CLASP2)
         assert s.genus == 1
 
     def test_torusgrid(self):
@@ -130,8 +126,8 @@ class TestHomology:
     def test_rank_is_twice_genus(self):
         for s in (
             fixtures.torusgrid(),
-            from_turaev_complex(build_turaev_complex(CLASP2)),
-            from_turaev_complex(build_turaev_complex(fixtures.gen2a())),
+            turaev_surface(CLASP2),
+            turaev_surface(fixtures.gen2a()),
         ):
             assert homology_rank_check(s) == 2 * s.genus
 
@@ -150,7 +146,7 @@ class TestTwoIntersectionLoops:
         assert report.minimum_intersections is None
 
     def test_pseudotref_complex_has_loop(self):
-        s = from_turaev_complex(build_turaev_complex(PSEUDOTREF))
+        s = turaev_surface(PSEUDOTREF)
         report = two_intersection_loops(s)
         assert report.verdict == "loop-found"
         assert report.minimum_intersections == 2
@@ -165,7 +161,7 @@ class TestTwoIntersectionLoops:
             two_intersection_loops(s)
 
     def test_loops_cross_edges_only(self):
-        s = from_turaev_complex(build_turaev_complex(CLASP2))
+        s = turaev_surface(CLASP2)
         report = two_intersection_loops(s)
         for loop in report.loops:
             assert loop.intersections == len(loop.edges)
@@ -175,7 +171,7 @@ class TestTwoIntersectionLoops:
 class TestHayashi:
     def test_turaev_complexes_have_complexity_two(self):
         for d in (CLASP2, PSEUDOTREF, fixtures.cycle4(), fixtures.gen2a()):
-            s = from_turaev_complex(build_turaev_complex(d))
+            s = turaev_surface(d)
             result = hayashi_complexity(s)
             assert result.value == 2
             assert result.certified
@@ -190,7 +186,7 @@ class TestHayashi:
         for d in corpus.exhaustive(5) + [PlanarDiagram(rows) for rows in random_rows]:
             if d.genus == 0:
                 continue
-            s = from_turaev_complex(build_turaev_complex(d))
+            s = turaev_surface(d)
             try:
                 result = hayashi_complexity(s)
             except Refused:  # a kinked diagram's surface is not reduced
@@ -213,28 +209,90 @@ class TestHayashi:
 class TestFromComplex:
     def test_alternating_on_surface(self):
         for d in (PSEUDOTREF, CLASP2, fixtures.gen2a(), fixtures.gen2b()):
-            s = from_turaev_complex(build_turaev_complex(d))
+            s = turaev_surface(d)
             assert is_alternating(s)
-            assert s.genus == build_turaev_complex(d).genus
+            assert s.genus == d.genus
 
     def test_preserves_edge_labels(self):
-        s = from_turaev_complex(build_turaev_complex(CLASP2))
+        s = turaev_surface(CLASP2)
         assert sorted(s.edge_labels) == sorted(CLASP2.edge_labels)
+
+
+def assert_matches_cell_orientation(diagrams) -> int:
+    """Assert that ``turaev_surface`` writes the rows of the cell
+    orientation search for each diagram and its mirror; the number of
+    diagrams compared."""
+    compared = 0
+    for d in diagrams:
+        for x in (d, mirror(d)):
+            assert turaev_surface(x).crossings == oracles.turaev_surface_by_cell_orientation(x), x.to_pd_text()
+            compared += 1
+    return compared
+
+
+class TestTuraevSurface:
+    def test_matches_cell_orientation_on_small_exhaustive(self, small_exhaustive_rows):
+        diagrams = [PlanarDiagram(rows) for rows in small_exhaustive_rows]
+        assert assert_matches_cell_orientation(diagrams) == 2 * len(diagrams)
+
+    def test_matches_cell_orientation_on_random_corpus(self, random_rows):
+        diagrams = [PlanarDiagram(rows) for rows in random_rows]
+        assert assert_matches_cell_orientation(diagrams) == 2 * len(diagrams)
+
+    @pytest.mark.parametrize("cap", [1, 2, None], ids=["genus1", "genus2", "uncapped"])
+    def test_matches_cell_orientation_on_seeded_primes(self, bench_inputs, cap):
+        rng = random.Random(20261019)
+        primes = [PlanarDiagram.from_rows(bench_inputs.prime_rows(rng, rng.randint(9, 40), cap)) for _ in range(30)]
+        assert assert_matches_cell_orientation(primes) == 60
+
+    def test_faces_are_the_state_circles(self, small_exhaustive_rows, random_rows):
+        for rows in list(small_exhaustive_rows) + list(random_rows):
+            d = PlanarDiagram(rows)
+            circles = [
+                sorted(circ.edges(d)) for st in (all_a(d), all_b(d)) for circ in state_circles(d, st).circles
+            ]
+            s = turaev_surface(d)
+            faces = [sorted(f.edges(s)) for f in s.faces]
+            assert sorted(faces) == sorted(circles), d.to_pd_text()
+
+    def test_alternating_diagram_spans_its_projection_sphere(self, small_exhaustive_rows, random_rows):
+        # Every crossing has one sign, so every rotation is reversed and no
+        # crossing is turned: the rows read (a, d, c, b).
+        checked = 0
+        for rows in list(small_exhaustive_rows) + list(random_rows):
+            d = PlanarDiagram(rows)
+            if is_alternating(d):
+                reversed_rows = tuple((a, dd, c, b) for a, b, c, dd in d.crossings)
+                assert turaev_surface(d).crossings == reversed_rows, d.to_pd_text()
+                checked += 1
+        assert checked > 100
+
+    def test_builds_without_tracing(self, traces, random_rows):
+        for rows in random_rows[:100]:
+            turaev_surface(PlanarDiagram(rows))
+        out = cli._check_worker(PSEUDOTREF.to_pd_text(), from_turaev=True)
+        assert out["verdict"] == "loop-found"
+        assert traces == []
+
+    def test_disconnected_rejected(self):
+        d = PlanarDiagram.from_rows(((1, 1, 2, 2), (3, 3, 4, 4)), allow_disconnected=True)
+        with pytest.raises(DiagramError, match="connected"):
+            turaev_surface(d)
 
 
 class TestEdgeSignature:
     def test_exhaustive_state_surfaces(self):
-        assert compare_signatures(state_surface(d) for d in corpus.exhaustive(5)) >= FLOOR_EXHAUSTIVE
+        assert compare_signatures(turaev_surface(d) for d in corpus.exhaustive(5)) >= FLOOR_EXHAUSTIVE
 
     def test_random_corpus_state_surfaces(self, random_rows):
-        surfaces = (state_surface(PlanarDiagram(rows)) for rows in random_rows)
+        surfaces = (turaev_surface(PlanarDiagram(rows)) for rows in random_rows)
         assert compare_signatures(surfaces) >= FLOOR_RANDOM
 
     @pytest.mark.parametrize("cap", [1, 2, None], ids=["genus1", "genus2", "uncapped"])
     def test_seeded_prime_state_surfaces(self, bench_inputs, cap):
         rng = random.Random(20261019)
         primes = [PlanarDiagram.from_rows(bench_inputs.prime_rows(rng, rng.randint(9, 40), cap)) for _ in range(30)]
-        surfaces = [state_surface(d) for d in primes]
+        surfaces = [turaev_surface(d) for d in primes]
         if cap is None:
             assert max(s.genus for s in surfaces) >= 3
         else:
@@ -249,7 +307,7 @@ class TestEdgeSignature:
         assert compare_signatures([fixtures.torusgrid()]) >= FLOOR_TORUSGRID
 
     def test_bit_count_is_twice_the_genus(self):
-        for s in (fixtures.torusgrid(), state_surface(fixtures.gen2a()), SurfaceDiagram.from_planar(TREFOIL)):
+        for s in (fixtures.torusgrid(), turaev_surface(fixtures.gen2a()), SurfaceDiagram.from_planar(TREFOIL)):
             bits = 0
             for sig in s.edge_signature.values():
                 bits |= sig

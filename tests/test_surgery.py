@@ -266,11 +266,8 @@ class TestSplitStepTraces:
         for source in inputs:
             d = PlanarDiagram.from_rows(source.crossings)
             traces.clear()
-            step = split_step(d)
-            keys = [(id(x), st) for x, st in traces]
-            assert len(keys) == len(set(keys))
-            assert sorted(st for x, st in traces if x is d) == [all_a(d), all_b(d)]
-            assert not any(x is step.intermediate for x, st in traces)
+            split_step(d)
+            assert traces == []
 
 
 GOLDEN_FIXTURES = ("kink", "trefoil", "pseudotref", "clasp2", "connsum", "cycle4", "aa6", "gen2a", "gen2b")
