@@ -291,6 +291,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="turaev", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -318,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--out", required=True)
     p_corpus.add_argument("--max-crossings", type=_positive_int, default=4)
     p_corpus.add_argument("--seed", type=int, default=0)
-    p_corpus.add_argument("--random-count", type=int, default=0)
-    p_corpus.add_argument("--random-max-crossings", type=int, default=10)
+    p_corpus.add_argument("--random-count", type=_non_negative_int, default=0)
+    p_corpus.add_argument("--random-max-crossings", type=_positive_int, default=10)
     p_corpus.add_argument("--verify", action="store_true", help="cross-check classification facts")
     p_corpus.set_defaults(func=_cmd_corpus)
 

@@ -96,38 +96,24 @@ def cycle_of_tangles(diagram: PlanarDiagram) -> CycleOfTangles:
     """
     cyc = classify_genus_one(diagram)
     dec = cyc.decomposition
-    n = cyc.n
-    junction_labels = [set(j) for j in cyc.junctions]
-
+    alpha = diagram.alpha
+    # Tangle 0's UL and LL are its legs on the last junction, UL the
+    # smaller; each later tangle's UL and LL are the far legs of the
+    # previous UR and LR. LR and UR follow LL along the boundary.
+    ul, ll = sorted(
+        d for lab in cyc.junctions[-1] for d in diagram.edge_darts[lab] if dec.leg_at[d][0] == cyc.order[0]
+    )
     arrangements: list[tuple[int, int, int, int]] = []
-    for i, tid in enumerate(cyc.order):
-        tangle = dec.tangles[tid]
-        orbit = tangle.boundary
-        prev_labs = junction_labels[(i - 1) % n]
-        next_labs = junction_labels[i]
-        candidates = []
-        for seq in (orbit, tuple(reversed(orbit))):
-            for rot in range(4):
-                arr = tuple(seq[(rot + k) % 4] for k in range(4))
-                labs = [diagram.label(d) for d in arr]
-                if (
-                    labs[0] in prev_labs
-                    and labs[1] in prev_labs
-                    and labs[2] in next_labs
-                    and labs[3] in next_labs
-                ):
-                    candidates.append(arr)
-        if not candidates:
+    for tid in cyc.order:
+        circle = dec.tangles[tid].boundary
+        k = dec.leg_at[ul][2]
+        step = 1 if circle[(k + 1) % 4] == ll else -1
+        if circle[(k + step) % 4] != ll:
             raise DiagramError("tangle legs do not split between its two junctions")
-        if i == 0:
-            arrangements.append(min(candidates))
-            continue
-        want_ul = diagram.alpha[arrangements[i - 1][3]]  # far end of previous UR
-        chosen = [arr for arr in candidates if arr[0] == want_ul]
-        if len(chosen) != 1:
-            raise DiagramError("cycle payload orientation is inconsistent")
-        arrangements.append(chosen[0])
-    if diagram.alpha[arrangements[-1][3]] != arrangements[0][0]:
+        lr, ur = circle[(k + 2 * step) % 4], circle[(k + 3 * step) % 4]
+        arrangements.append((ul, ll, lr, ur))
+        ul, ll = alpha[ur], alpha[lr]
+    if ul != arrangements[0][0]:
         raise DiagramError("cycle payloads do not close up")
 
     units = []

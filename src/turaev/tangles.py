@@ -18,10 +18,13 @@ alternate in sign and no channel edge returns to its own tangle.
 
 Both low-genus classifiers read one object, a chain of 2-tangles: disc
 tangles of valence two whose legs split into two rotation-adjacent
-pairs, each pair running to one neighbor. ``_follow_chain`` walks such a
-chain. A genus-one cycle is the walk closing on itself through every
-tangle; a genus-two ribbon is the walk from one junction tangle, a
-tangle outside the chain, to the next.
+pairs, each pair running to one neighbor. Chains are walked on leg darts
+through one leg table, ``TangleDecomposition.leg_at``, which places each
+leg on its tangle's boundary: the far leg of a channel edge is ``alpha``
+of its near leg. ``_follow_chain`` walks such a chain. A genus-one cycle
+is the walk closing on itself through every tangle; a genus-two ribbon
+is the walk from one junction tangle, a tangle outside the chain, to the
+next.
 """
 
 from __future__ import annotations
@@ -97,16 +100,27 @@ class TangleDecomposition:
     channel_faces: tuple[int, ...]
 
     @cached_property
-    def tangle_of_crossing(self) -> dict[int, int]:
-        return {c: t.id for t in self.tangles for c in t.crossings}
-
-    @cached_property
     def channel_by_label(self) -> dict[int, ChannelEdge]:
         return {ce.label: ce for ce in self.channel_edges}
 
-    def far_tangle(self, tangle_id: int, label: int) -> int:
-        a, b = self.channel_by_label[label].tangles
-        return b if a == tangle_id else a
+    @cached_property
+    def leg_at(self) -> dict[int, tuple[int, int, int]]:
+        """Leg dart -> (tangle id, boundary circle index, position on it)."""
+        return {
+            leg: (t.id, k, i)
+            for t in self.tangles
+            for k, circle in enumerate(t.boundary_circles)
+            for i, leg in enumerate(circle)
+        }
+
+    def adjacent(self, a: int, b: int) -> bool:
+        """Whether legs ``a`` and ``b`` are neighbors on one boundary circle."""
+        ta, ka, ia = self.leg_at[a]
+        tb, kb, ib = self.leg_at[b]
+        if (ta, ka) != (tb, kb):
+            return False
+        size = len(self.tangles[ta].boundary_circles[ka])
+        return (ia - ib) % size in (1, size - 1)
 
     def neighbors(self, tangle_id: int) -> dict[int, list[int]]:
         """Adjacent tangle id -> connecting channel edge labels."""
@@ -155,9 +169,8 @@ def decompose(diagram: PlanarDiagram) -> TangleDecomposition:
         d1, d2 = diagram.edge_darts[lab]
         t1, t2 = tangle_of_crossing[d1 >> 2], tangle_of_crossing[d2 >> 2]
         channel.append(ChannelEdge(lab, (d1, d2), (t1, t2)))
-    channel_faces = tuple(
-        sorted(f.id for f in diagram.faces if any(not alt[diagram.label(d)] for d in f.darts))
-    )
+    face_of_dart = diagram.face_of_dart
+    channel_faces = tuple(sorted({face_of_dart[d] for ce in channel for d in ce.darts}))
     return TangleDecomposition(diagram, False, tangles, tuple(channel), channel_faces)
 
 
@@ -199,83 +212,53 @@ def _boundary_circles(diagram: PlanarDiagram, alt: dict[int, bool]) -> list[tupl
 # -- chains of 2-tangles -------------------------------------------------------
 
 
-def _adjacent_in_circle(circle: tuple[int, ...], pair) -> bool:
-    """Whether ``pair``, two darts of ``circle``, are cyclically adjacent."""
-    if len(pair) != 2:
-        return False
-    i, j = sorted(circle.index(d) for d in pair)
-    return j - i in (1, len(circle) - 1)
-
-
 def _pair_split(dec: TangleDecomposition, t: Tangle) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """Split a valence-2 disc tangle's legs into two parallel pairs.
 
-    A valid split groups the cyclic legs into adjacent pairs, each pair
-    going to one other tangle with the far legs adjacent there as well.
+    A valid split groups the cyclic legs into adjacent pairs whose far
+    legs, ``alpha`` of the pair, are adjacent legs of one other tangle.
     """
-    if t.valence != 2 or not t.simply_connected or not t.boundary:
+    if t.valence != 2 or not t.simply_connected:
         return None
-    circle = t.boundary
-    for shift in (0, 1):
-        pairs = (
-            (circle[shift], circle[(shift + 1) % 4]),
-            (circle[(shift + 2) % 4], circle[(shift + 3) % 4]),
-        )
-        if all(_pair_leads_to_one_tangle(dec, t.id, pair) for pair in pairs):
+    alpha = dec.diagram.alpha
+    a, b, c, d = t.boundary
+    for pairs in (((a, b), (c, d)), ((b, c), (d, a))):
+        if all(dec.adjacent(alpha[x], alpha[y]) for x, y in pairs):
             return pairs
     return None
 
 
-def _pair_leads_to_one_tangle(dec: TangleDecomposition, tid: int, pair: tuple[int, int]) -> bool:
-    diagram = dec.diagram
-    labs = {diagram.label(d) for d in pair}
-    if len(labs) != 2:
-        return False
-    far = {dec.far_tangle(tid, lab) for lab in labs}
-    if len(far) != 1 or tid in far:
-        return False
-    far_tid = far.pop()
-    far_t = dec.tangles[far_tid]
-    for c in far_t.boundary_circles:
-        legs = {d for d in c if diagram.label(d) in labs}
-        if len(legs) == 2:
-            return _adjacent_in_circle(c, legs)
-    return False
-
-
 def _follow_chain(
-    dec: TangleDecomposition, chain_tangles, start: int, labels: tuple[int, int]
+    dec: TangleDecomposition, chain_tangles, start: int, pair: tuple[int, int]
 ) -> tuple[list[int], list[tuple[int, int]], int | None]:
     """Walk a chain of 2-tangles out of tangle ``start``.
 
-    The walk leaves ``start`` on the channel edges ``labels``, enters each
-    tangle of ``chain_tangles`` on two adjacent legs and leaves on the
-    other two, and stops at a tangle outside ``chain_tangles`` or back at
-    ``start``. Returns the chain, the sorted label pairs crossed
-    (``labels`` first), and the tangle reached, which is None when the
-    walk breaks off: a crossed pair leads to two tangles, or enters a
-    chain tangle on non-adjacent legs. Leaving by the legs not entered,
-    not by the tangle's own split, matters when two tangles share four
-    edges: both leg pairings are splits, and each tangle may pick either.
+    The walk leaves ``start`` on its legs ``pair``, enters each tangle of
+    ``chain_tangles`` on two adjacent legs and leaves on the other two,
+    and stops at a tangle outside ``chain_tangles`` or back at ``start``.
+    Returns the chain, the leg pairs left by (``pair`` first), and the
+    tangle reached, which is None when the walk breaks off: a pair's far
+    legs lie in two tangles, or are not adjacent in a chain tangle.
+    Leaving by the legs not entered, not by the tangle's own split,
+    matters when two tangles share four edges: both leg pairings are
+    splits, and each tangle may pick either.
     """
-    diagram = dec.diagram
+    alpha = dec.diagram.alpha
+    leg_at = dec.leg_at
     chain: list[int] = []
-    crossed = [labels]
-    cur = start
+    crossed = [pair]
     while True:
-        far = {dec.far_tangle(cur, lab) for lab in labels}
-        if len(far) != 1:
+        far = (alpha[pair[0]], alpha[pair[1]])
+        cur = leg_at[far[0]][0]
+        if leg_at[far[1]][0] != cur:
             return chain, crossed, None
-        cur = far.pop()
         if cur == start or cur not in chain_tangles:
             return chain, crossed, cur
-        circle = dec.tangles[cur].boundary
-        entered = [d for d in circle if diagram.label(d) in labels]
-        if not _adjacent_in_circle(circle, entered):
+        if not dec.adjacent(*far):
             return chain, crossed, None
         chain.append(cur)
-        labels = tuple(sorted(diagram.label(d) for d in circle if d not in entered))
-        crossed.append(labels)
+        pair = tuple(d for d in dec.tangles[cur].boundary if d not in far)
+        crossed.append(pair)
 
 
 # -- genus-one classification ------------------------------------------------
@@ -320,7 +303,7 @@ def classify_genus_one(diagram: PlanarDiagram) -> CycleStructure:
 
     The cycle is the chain walk through every tangle that leaves tangle 0
     on one pair of its ``_pair_split``, the pair with the smaller (far
-    tangle, labels), and closes on tangle 0.
+    tangle, sorted labels), and closes on tangle 0.
     """
     if not diagram.is_connected:
         raise DiagramError("classification requires a connected diagram")
@@ -341,9 +324,9 @@ def classify_genus_one(diagram: PlanarDiagram) -> CycleStructure:
     split = _pair_split(dec, dec.tangles[0])
     if split is None:
         raise Refused("channel edges are not rotation-adjacent junction pairs")
-    exits = [tuple(sorted(diagram.label(d) for d in pair)) for pair in split]
-    _, labels = min((dec.far_tangle(0, labs[0]), labs) for labs in exits)
-    chain, crossed, end = _follow_chain(dec, range(n), 0, labels)
+    labels = lambda pair: tuple(sorted(diagram.label(d) for d in pair))
+    _, _, pair = min((dec.leg_at[diagram.alpha[p[0]]][0], labels(p), p) for p in split)
+    chain, crossed, end = _follow_chain(dec, range(n), 0, pair)
     if end is None:
         raise Refused("channel edges are not rotation-adjacent junction pairs")
     if len(chain) != n - 1:
@@ -353,29 +336,19 @@ def classify_genus_one(diagram: PlanarDiagram) -> CycleStructure:
     white = _two_face_color_signature(dec, coloring)
     if white is None:
         raise Refused("non-alternating edges are not carried by two faces of one color")
-    return CycleStructure(dec, (0, *chain), tuple(crossed), white)
+    return CycleStructure(dec, (0, *chain), tuple(map(labels, crossed)), white)
 
 
 def _two_face_color_signature(dec: TangleDecomposition, coloring) -> tuple[int, int] | None:
-    """The two same-color faces that carry all non-alternating edges."""
-    diagram = dec.diagram
-    channel_labels = {ce.label for ce in dec.channel_edges}
+    """The two same-color faces that carry all non-alternating edges.
+
+    The two faces along an edge have opposite colors, so the faces of one
+    color that carry channel edges are the channel faces of that color.
+    """
     for color in ("white", "black"):
-        carriers = set()
-        ok = True
-        for lab in channel_labels:
-            d1, d2 = diagram.edge_darts[lab]
-            side = [
-                f
-                for f in (diagram.face_of_dart[d1], diagram.face_of_dart[d2])
-                if coloring.color(f) == color
-            ]
-            if len(side) != 1:
-                ok = False
-                break
-            carriers.add(side[0])
-        if ok and len(carriers) == 2:
-            return tuple(sorted(carriers))  # type: ignore[return-value]
+        carriers = tuple(f for f in dec.channel_faces if coloring.color(f) == color)
+        if len(carriers) == 2:
+            return carriers  # type: ignore[return-value]
     return None
 
 
@@ -547,8 +520,8 @@ class Genus2Descriptor:
 
     ``junction_words`` lists, per junction tangle and boundary circle, the
     cyclic sequence of leg annotations ("r", ribbon id, end) or ("s",
-    single edge id, 0); ``junction_attrs`` holds each junction's (valence,
-    disc-ness) in the same order. ``canonical`` encodes the whole
+    single edge id, 0); a junction's valence is half its annotations, and
+    it is a disc when it has one circle. ``canonical`` encodes the whole
     structure, ribbon parities included, and is invariant under relabeling
     and mirror; it is built on first read, since its search is factorial
     in the number of junctions. ``case_label`` is the genus-two case 1-8
@@ -560,7 +533,6 @@ class Genus2Descriptor:
     non_simply_connected: bool
     all_two_cycle: bool
     junction_words: tuple[tuple[tuple[tuple[str, int, int], ...], ...], ...]
-    junction_attrs: tuple[tuple[int, bool], ...]
     ribbons: tuple[Ribbon, ...]
     singles: tuple[int, ...]
     case_label: int | None = None
@@ -574,7 +546,7 @@ class Genus2Descriptor:
         if self.all_two_cycle:
             n = len(self.valences)
             return f"cycle[n={n},parity={n % 2}]"
-        return _canonical_junction_structure(self.junction_words, self.junction_attrs, self.ribbons)
+        return _canonical_junction_structure(self.junction_words, self.ribbons)
 
     def to_json_dict(self) -> dict:
         return {
@@ -599,7 +571,6 @@ def contract_ribbons(dec: TangleDecomposition) -> Genus2Descriptor:
     """
     if dec.alternating:
         raise Refused("alternating diagram has no channel structure")
-    diagram = dec.diagram
     splits: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
     for t in dec.tangles:
         sp = _pair_split(dec, t)
@@ -610,91 +581,74 @@ def contract_ribbons(dec: TangleDecomposition) -> Genus2Descriptor:
     nsc = any(not t.simply_connected for t in dec.tangles)
 
     if not junctions:
-        return Genus2Descriptor(valences, nsc, True, (), (), (), ())
+        return Genus2Descriptor(valences, nsc, True, (), (), ())
 
+    alpha = dec.diagram.alpha
     ribbons: list[Ribbon] = []
     singles: list[int] = []
-    consumed: set[int] = set()
-    end_annotation: dict[int, tuple[str, int, int]] = {}
+    annotation: dict[int, tuple[str, int, int]] = {}
     for jid in junctions:
         for circle in dec.tangles[jid].boundary_circles:
             for leg in circle:
-                lab = diagram.label(leg)
-                if lab in consumed:
+                if leg in annotation:
                     continue
-                partner = _ribbon_start_partner(dec, splits, jid, leg)
+                partner = _ribbon_start_partner(dec, splits, leg)
                 if partner is not None:
                     start_pair = tuple(sorted((leg, partner)))
                     rib = _walk_ribbon(dec, splits, jid, start_pair, len(ribbons))
                     ribbons.append(rib)
-                    for end_index, (tid, legs) in enumerate(rib.ends):
+                    for end_index, (_, legs) in enumerate(rib.ends):
                         for end_leg in legs:
-                            consumed.add(diagram.label(end_leg))
-                            end_annotation[end_leg] = ("r", rib.id, end_index)
+                            annotation[end_leg] = ("r", rib.id, end_index)
                 else:
-                    consumed.add(lab)
+                    lab = dec.diagram.label(leg)
                     singles.append(lab)
-                    for d in dec.channel_by_label[lab].darts:
-                        end_annotation[d] = ("s", lab, 0)
+                    annotation[leg] = annotation[alpha[leg]] = ("s", lab, 0)
 
-    words = []
-    attrs = []
-    for jid in junctions:
-        t = dec.tangles[jid]
-        words.append(tuple(tuple(end_annotation[leg] for leg in c) for c in t.boundary_circles))
-        attrs.append((t.valence, t.simply_connected))
-    return Genus2Descriptor(
-        valences, nsc, False, tuple(words), tuple(attrs), tuple(ribbons), tuple(sorted(singles))
+    words = tuple(
+        tuple(tuple(annotation[leg] for leg in c) for c in dec.tangles[jid].boundary_circles)
+        for jid in junctions
     )
+    return Genus2Descriptor(valences, nsc, False, words, tuple(ribbons), tuple(sorted(singles)))
 
 
-def _ribbon_start_partner(dec, splits, jid, leg) -> int | None:
+def _ribbon_start_partner(dec, splits, leg) -> int | None:
     """The junction leg paired with ``leg`` through a chain tangle.
 
-    When the edge of ``leg`` enters a chain tangle on one of its split
-    pairs, the other edge of that split pair returns to the junction and
-    its leg is the forced partner; direct junction-to-junction edges have
-    no partner and stay single. Chains make ribbons, singles stay single,
+    When the edge of ``leg`` enters a chain tangle, the partner is
+    ``alpha`` of the other leg of the split pair it enters: that pair's
+    far legs are adjacent legs of one tangle, so the partner sits beside
+    ``leg`` on its junction. Direct junction-to-junction edges have no
+    partner and stay single. Chains make ribbons, singles stay single,
     and nothing depends on iteration order.
     """
-    diagram = dec.diagram
-    lab = diagram.label(leg)
-    far_tid = dec.far_tangle(jid, lab)
-    if far_tid not in splits:
+    alpha = dec.diagram.alpha
+    far = alpha[leg]
+    tid = dec.leg_at[far][0]
+    if tid not in splits:
         return None
-    for pair in splits[far_tid]:
-        labs = {diagram.label(d) for d in pair}
-        if lab in labs:
-            other_lab = (labs - {lab}).pop()
-            ce = dec.channel_by_label[other_lab]
-            for d in ce.darts:
-                if dec.tangle_of_crossing[d >> 2] == jid and d != leg:
-                    return d
-            return None
-    return None
+    a, b = next(pair for pair in splits[tid] if far in pair)
+    return alpha[b if a == far else a]
 
 
 def _walk_ribbon(dec, splits, start_jid, start_pair, rib_id) -> Ribbon:
     """The ribbon of the chain walk leaving ``start_jid`` on its legs
     ``start_pair``."""
-    diagram = dec.diagram
-    labels = tuple(sorted(diagram.label(d) for d in start_pair))
-    interior, crossed, end = _follow_chain(dec, splits, start_jid, labels)
+    interior, crossed, end = _follow_chain(dec, splits, start_jid, start_pair)
     if end is None:
         raise DiagramError("ribbon crosses an edge pair that is not a junction pair")
-    legs = [d for c in dec.tangles[end].boundary_circles for d in c]
-    end_legs = tuple(sorted(d for d in legs if diagram.label(d) in crossed[-1]))
-    if len(end_legs) != 2:
-        raise DiagramError("ribbon end does not land on two junction legs")
+    alpha = dec.diagram.alpha
+    end_legs = tuple(sorted(alpha[d] for d in crossed[-1]))
     return Ribbon(rib_id, ((start_jid, start_pair), (end, end_legs)), tuple(interior))
 
 
-def _canonical_junction_structure(words, attrs, ribbons) -> str:
+def _canonical_junction_structure(words, ribbons) -> str:
     """Canonical string of the junction structure.
 
     Minimizes over junction orderings, per-circle rotations, and a global
     reflection, renaming connections by first appearance. Ribbon parities
-    ride along; vertex attributes record valence and disc-ness.
+    ride along; each junction records its valence, half its legs, and
+    whether it is a disc, that is has one boundary circle.
     """
     parity = {r.id: r.parity for r in ribbons}
 
@@ -729,8 +683,9 @@ def _canonical_junction_structure(words, attrs, ribbons) -> str:
                         best_piece, best_state = piece, trial
                 rename = best_state  # type: ignore[assignment]
                 vertex_pieces.append(best_piece)
-            v, sc = attrs[j]
-            pieces.append(f"[v{v}{'d' if sc else 'a'}:{'|'.join(sorted(vertex_pieces))}]")
+            valence = sum(map(len, words[j])) // 2
+            disc = "d" if len(words[j]) == 1 else "a"
+            pieces.append(f"[v{valence}{disc}:{'|'.join(sorted(vertex_pieces))}]")
         return "".join(pieces)
 
     best = None

@@ -537,6 +537,48 @@ def genus_one_cycle_by_junction_pairing(diagram):
     return tuple(order), tuple(junctions), white
 
 
+def cycle_arrangements_by_search(diagram):
+    """Per position of the genus-one cycle, (tangle crossings, legs UL,
+    LL, LR, UR as darts), by trying all eight orientations and rotations
+    of each tangle's boundary against its two junctions.
+
+    The reference for ``moves.cycle_of_tangles``, which walks the legs
+    around the cycle through the leg table instead.
+    """
+    from turaev.pdcore import DiagramError
+    from turaev.tangles import classify_genus_one
+
+    cyc = classify_genus_one(diagram)
+    dec = cyc.decomposition
+    n = cyc.n
+    junction_labels = [set(j) for j in cyc.junctions]
+    arrangements = []
+    for i, tid in enumerate(cyc.order):
+        orbit = dec.tangles[tid].boundary
+        prev_labs = junction_labels[(i - 1) % n]
+        next_labs = junction_labels[i]
+        candidates = []
+        for seq in (orbit, tuple(reversed(orbit))):
+            for rot in range(4):
+                arr = tuple(seq[(rot + k) % 4] for k in range(4))
+                labs = [diagram.label(d) for d in arr]
+                if labs[0] in prev_labs and labs[1] in prev_labs and labs[2] in next_labs and labs[3] in next_labs:
+                    candidates.append(arr)
+        if not candidates:
+            raise DiagramError("tangle legs do not split between its two junctions")
+        if i == 0:
+            arrangements.append(min(candidates))
+            continue
+        want_ul = diagram.alpha[arrangements[i - 1][3]]  # far end of previous UR
+        chosen = [arr for arr in candidates if arr[0] == want_ul]
+        if len(chosen) != 1:
+            raise DiagramError("cycle payload orientation is inconsistent")
+        arrangements.append(chosen[0])
+    if diagram.alpha[arrangements[-1][3]] != arrangements[0][0]:
+        raise DiagramError("cycle payloads do not close up")
+    return tuple((dec.tangles[tid].crossings, arr) for tid, arr in zip(cyc.order, arrangements))
+
+
 def turaev_surface_by_cell_orientation(diagram):
     """Rows of the diagram on its Turaev surface, by a search for a
     consistent orientation of the traced state circles.

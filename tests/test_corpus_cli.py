@@ -266,6 +266,19 @@ class TestCliCorpus:
             assert "--max-crossings" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--random-max-crossings", "0"), ("--random-max-crossings", "-1"), ("--random-count", "-1")],
+    )
+    def test_random_options_out_of_range_rejected(self, capsys, tmp_path, option, value):
+        out = tmp_path / "c"
+        argv = ["corpus", "--out", str(out), "--random-count", "2", option, value]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _answer_or_raise(text: str) -> dict:
     """A batch worker that fails on "fail", refuses "refuse" and answers

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from turaev import fixtures, moves
@@ -19,6 +21,7 @@ from turaev.pdcore import (
     canonical_encoding,
     is_alternating,
     is_prime,
+    mirror,
     parse_pd,
 )
 from turaev.states import loop_crossings, turaev_genus
@@ -48,6 +51,36 @@ class TestCycleOfTangles:
         sites = split_twist_sites(cycle)
         assert sites.n == 6
         assert canonical_encoding(sites.reconstruct()) == canonical_encoding(fixtures.aa6())
+
+    @staticmethod
+    def assert_matches_search(diagrams) -> int:
+        """Compare payload legs and origins with the orientation search on
+        every genus-one prime among ``diagrams`` and its mirror; returns
+        the number of genus-one primes."""
+        seen = 0
+        for d in diagrams:
+            if not is_prime(d) or turaev_genus(d) != 1:
+                continue
+            seen += 1
+            for x in (d, mirror(d)):
+                units = cycle_of_tangles(x).units
+                ours = tuple((u.origin, tuple(4 * u.origin[c] + s for c, s in u.payload.legs)) for u in units)
+                assert ours == oracles.cycle_arrangements_by_search(x), x.to_pd_text()
+        return seen
+
+    def test_search_oracle_on_exhaustive_5(self, exhaustive_rows):
+        diagrams = (PlanarDiagram(rows) for rows in exhaustive_rows if len(rows) <= 5)
+        assert self.assert_matches_search(diagrams) == 37
+
+    def test_search_oracle_on_random_corpus(self, random_rows):
+        assert self.assert_matches_search(PlanarDiagram(rows) for rows in random_rows) == 40
+
+    def test_search_oracle_on_genus_one_primes(self, bench_inputs):
+        rng = random.Random(16)
+        diagrams = [
+            PlanarDiagram.from_rows(bench_inputs.prime_rows(rng, rng.randint(9, 60), 1)) for _ in range(40)
+        ]
+        assert self.assert_matches_search(diagrams) == 40
 
 
 class TestFlype:

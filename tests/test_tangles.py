@@ -1,10 +1,11 @@
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 
 import oracles
-from turaev import casetable, fixtures
+from turaev import casetable, cli, fixtures
 from turaev.pdcore import (
     DiagramError,
     PlanarDiagram,
@@ -19,6 +20,7 @@ from turaev.pdcore import (
 from turaev.states import turaev_genus
 from turaev.tangles import (
     Genus2Recipe,
+    _pair_split,
     classify_genus_one,
     classify_genus_two,
     contract_ribbons,
@@ -131,6 +133,43 @@ class TestDecompose:
             for t in dec.tangles:
                 assert len(t.legs) % 2 == 0
                 assert t.valence >= 1
+
+
+def non_alternating_decompositions(rows_list):
+    for rows in rows_list:
+        dec = decompose(PlanarDiagram(rows))
+        if not dec.alternating:
+            yield dec
+
+
+class TestLegTable:
+    @pytest.fixture(scope="class")
+    def decompositions(self, exhaustive_rows, random_rows):
+        rows_list = [rows for rows in exhaustive_rows if len(rows) <= 5] + list(random_rows)
+        return list(non_alternating_decompositions(rows_list))
+
+    def test_legs_are_the_non_alternating_darts(self, decompositions):
+        for dec in decompositions:
+            d = dec.diagram
+            alt = edge_alternation(d)
+            assert set(dec.leg_at) == {x for x in range(d.n_darts) if not alt[d.label(x)]}
+
+    def test_alpha_sends_each_leg_to_another_tangle(self, decompositions):
+        for dec in decompositions:
+            alpha = dec.diagram.alpha
+            for leg, (tid, _, _) in dec.leg_at.items():
+                assert dec.leg_at[alpha[leg]][0] != tid, dec.diagram.to_pd_text()
+
+    def test_adjacency_is_cyclic_index_adjacency(self, decompositions):
+        for dec in decompositions:
+            for t in dec.tangles:
+                for a in t.legs:
+                    for b in t.legs:
+                        expected = any(
+                            a in c and b in c and (c.index(a) - c.index(b)) % len(c) in (1, len(c) - 1)
+                            for c in t.boundary_circles
+                        )
+                        assert dec.adjacent(a, b) == expected, dec.diagram.to_pd_text()
 
 
 class TestClassifyGenusOne:
@@ -253,7 +292,48 @@ class TestRibbons:
             contract_ribbons(decompose(TREFOIL))
 
 
+GENUS_TWO_FIXTURES = {
+    "gen2a": fixtures.gen2a,
+    "gen2b": fixtures.gen2b,
+    "annular": fixtures.gen2_annular,
+    "theta-even": lambda: gen_genus2(fixtures.THETA_EVEN_RECIPE),
+    "theta-odd": lambda: gen_genus2(fixtures.THETA_ODD_RECIPE),
+    "mixed": lambda: gen_genus2(fixtures.GEN2MIX_RECIPE),
+    "case6": lambda: parse_pd(CASE6),
+    "theta-three-even": lambda: parse_pd(THETA_THREE_EVEN),
+    "theta-direct-pair": lambda: parse_pd(THETA_DIRECT_PAIR),
+}
+
+# sha256 of the classify JSON lines of the first 60 genus-two primes drawn
+# by ``bench/inputs.prime_rows`` with cap 2 from seed 20261019, computed
+# before the chain walker moved from edge labels to leg darts.
+GENUS_TWO_CLASSIFY_SHA256 = "201a379f5bc8eabfea58b0eb62a053d3caa7c459ebe88cfd0f353ce7f5dd69bf"
+
+
 class TestClassifyGenusTwo:
+    @pytest.mark.parametrize("name", sorted(GENUS_TWO_FIXTURES))
+    def test_junction_words_give_valence_and_disc(self, name):
+        d = GENUS_TWO_FIXTURES[name]()
+        for x in (d, mirror(d)):
+            dec = decompose(x)
+            desc = contract_ribbons(dec)
+            junctions = [t for t in dec.tangles if _pair_split(dec, t) is None]
+            assert len(junctions) == len(desc.junction_words) > 0
+            for t, word in zip(junctions, desc.junction_words):
+                assert (sum(map(len, word)) // 2, len(word) == 1) == (t.valence, t.simply_connected)
+
+    def test_classify_json_pinned_on_seeded_primes(self, bench_inputs):
+        rng = random.Random(20261019)
+        digest = hashlib.sha256()
+        seen = 0
+        while seen < 60:
+            rows = bench_inputs.prime_rows(rng, rng.randrange(8, 25), 2)
+            if bench_inputs.genus_rows(rows) != 2:
+                continue
+            seen += 1
+            digest.update(cli._dump(cli._classify_worker(bench_inputs.pd_text(rows))).encode() + b"\n")
+        assert digest.hexdigest() == GENUS_TWO_CLASSIFY_SHA256
+
     def test_gen2a_case(self):
         desc = classify_genus_two(fixtures.gen2a())
         assert desc.case_label in (1, 3, 6)
