@@ -82,8 +82,7 @@ def _grown(d: PlanarDiagram, darts: tuple[int, ...], row: tuple[int, int, int, i
 
 def _canonical(rows: Rows, keep_parity: bool = True) -> Rows:
     d = PlanarDiagram(rows)
-    labels = [lab for row in rows for lab in row]
-    return canonical_rows(labels, d.alpha, d.n, keep_parity=keep_parity)
+    return canonical_rows(d.flat_labels, d.alpha, d.n, keep_parity=keep_parity)
 
 
 def child_rows(shadow_rows: Rows) -> list[Rows]:

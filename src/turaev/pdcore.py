@@ -21,10 +21,14 @@ sits at the corner of that face between slots ``s - 1`` and ``s`` of ``c``.
 A diagram is accepted as planar when every edge label occurs twice, the
 4-valent graph is connected, and V - E + F = 2 for the traced faces.
 
-``RotationSystem`` computes these once per diagram and keeps them;
-``PlanarDiagram`` adds the planar facts (each edge's state circles, the
-circle counts, Turaev genus, coloring, signs, composite circles) the same
-way.
+``RotationSystem`` computes these once per diagram and keeps them. Every
+fact is read off two flat per-dart arrays, ``flat_labels`` (the label of
+dart d at index d) and ``alpha``, with sigma inlined as dart arithmetic:
+one first-occurrence pass gives ``alpha``, one phi walk the faces, a
+breadth-first search over ``alpha`` the components, and the slot parity
+``(d ^ alpha[d]) & 1`` the alternation. ``PlanarDiagram`` adds the planar
+facts (each edge's state circles, the circle counts, Turaev genus,
+coloring, signs, composite circles) the same way.
 
 Text format: whitespace-separated terms ``X[a,b,c,d]`` with positive
 integer edge labels; the order of terms is the crossing index. JSON mirror:
@@ -35,9 +39,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -126,6 +130,28 @@ class CompositeCircle:
     sides: tuple[tuple[int, ...], tuple[int, ...]]
 
 
+class _cached_fact:
+    """A derived fact computed on first read and kept in the instance
+    dict: ``functools.cached_property`` without the lock it takes before
+    Python 3.12, which made building and reading a one-crossing diagram,
+    the reduction ladder's commonest piece, about a fifth dearer. A fact
+    is a pure function of an immutable diagram, so threads racing on it
+    at worst compute it twice."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 def _union_find(n: int):
     """A union-find forest over 0..n-1, as its parent list and a ``find``
     with path halving; callers join two roots by ``parent[a] = b``."""
@@ -186,8 +212,10 @@ class RotationSystem:
     ``crossings[i]`` is the 4-tuple of edge labels at crossing i, in
     counterclockwise slot order, slots 0/2 under and 1/3 over. Every
     derived fact is computed on first use and kept; cached values are
-    tuples, frozen dataclasses or read-only mappings. Subclasses differ in
-    ``validate``: the Euler condition their embedding must meet.
+    tuples, frozen dataclasses or read-only mappings. The core facts read
+    the flat per-dart arrays ``flat_labels`` and ``alpha`` with the dart
+    arithmetic inlined. Subclasses differ in ``validate``: the Euler
+    condition their embedding must meet.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -214,68 +242,83 @@ class RotationSystem:
 
     edge_of_dart = label
 
-    @cached_property
+    @_cached_fact
+    def flat_labels(self) -> tuple[int, ...]:
+        """The label of every dart, dart ``4 * c + s`` at that index."""
+        return tuple(chain.from_iterable(self.crossings))
+
+    @_cached_fact
     def alpha(self) -> tuple[int, ...]:
-        """Dart involution pairing the two occurrences of each label."""
-        where: dict[int, list[int]] = {}
-        for d in range(self.n_darts):
-            where.setdefault(self.label(d), []).append(d)
-        bad = sorted(lab for lab, ds in where.items() if len(ds) != 2)
-        if bad:
+        """Dart involution pairing the two occurrences of each label.
+
+        One pass pairs each dart with the first dart of its label. The
+        pairing is exact when there are half as many labels as darts and
+        no dart is left unpaired: every label then occurs exactly twice.
+        """
+        labels = self.flat_labels
+        first: dict[int, int] = {}
+        a = [-1] * len(labels)
+        for d, lab in enumerate(labels):
+            o = first.setdefault(lab, d)
+            if o != d:
+                a[o] = d
+                a[d] = o
+        if 2 * len(first) != len(labels) or -1 in a:
+            bad = sorted(lab for lab, k in Counter(labels).items() if k != 2)
             raise DiagramError(f"edge labels must occur exactly twice, violated by {bad}")
-        a = [0] * self.n_darts
-        for d1, d2 in where.values():
-            a[d1], a[d2] = d2, d1
         return tuple(a)
 
-    @cached_property
+    @_cached_fact
     def edge_labels(self) -> tuple[int, ...]:
-        return tuple(sorted({self.label(d) for d in range(self.n_darts)}))
+        return tuple(sorted(set(self.flat_labels)))
 
-    @cached_property
+    @_cached_fact
     def edge_darts(self) -> Mapping[int, tuple[int, int]]:
         """label -> (smaller dart, larger dart)."""
-        alpha = self.alpha
-        return MappingProxyType(
-            {self.label(d): (d, alpha[d]) for d in range(self.n_darts) if d < alpha[d]}
-        )
+        labels = self.flat_labels
+        return MappingProxyType({labels[d]: (d, a) for d, a in enumerate(self.alpha) if d < a})
 
-    @cached_property
+    @_cached_fact
     def alternation(self) -> Mapping[int, bool]:
         """label -> True for alternating edges: one end an underpass, the
         other an overpass, i.e. the two slots differ in parity."""
-        return MappingProxyType({lab: bool((d1 ^ d2) & 1) for lab, (d1, d2) in self.edge_darts.items()})
+        labels = self.flat_labels
+        return MappingProxyType({labels[d]: bool((d ^ a) & 1) for d, a in enumerate(self.alpha) if d < a})
 
-    @cached_property
-    def faces(self) -> tuple[Face, ...]:
+    @_cached_fact
+    def _phi_orbits(self) -> tuple[tuple[Face, ...], tuple[int, ...]]:
+        """The faces and each dart's face id, from one walk of the phi
+        orbits in order of their smallest dart."""
         alpha = self.alpha
-        seen = [False] * self.n_darts
+        fod = [-1] * len(alpha)
         faces: list[Face] = []
-        for start in range(self.n_darts):
-            if seen[start]:
+        for start in range(len(alpha)):
+            if fod[start] >= 0:
                 continue
+            f = len(faces)
             walk = []
             d = start
-            while not seen[d]:
-                seen[d] = True
+            while fod[d] < 0:
+                fod[d] = f
                 walk.append(d)
-                d = sigma(alpha[d])
-            faces.append(Face(len(faces), tuple(walk)))
-        return tuple(faces)
+                d = alpha[d]
+                d = (d & ~3) | ((d + 1) & 3)
+            faces.append(Face(f, tuple(walk)))
+        return tuple(faces), tuple(fod)
 
-    @cached_property
+    @_cached_fact
+    def faces(self) -> tuple[Face, ...]:
+        return self._phi_orbits[0]
+
+    @_cached_fact
     def face_of_dart(self) -> tuple[int, ...]:
-        out = [0] * self.n_darts
-        for f in self.faces:
-            for d in f.darts:
-                out[d] = f.id
-        return tuple(out)
+        return self._phi_orbits[1]
 
     def face_at_corner(self, crossing: int, corner: int) -> int:
         """Face occupying the corner between slots corner, corner+1."""
         return self.face_of_dart[dart(crossing, (corner + 1) % 4)]
 
-    @cached_property
+    @_cached_fact
     def face_pair_edges(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
         """(f1, f2) with f1 < f2 -> the labels, ascending, of the edges
         between those two faces, for the face pairs sharing two or more
@@ -291,12 +334,28 @@ class RotationSystem:
             {pair: tuple(sorted(labs)) for pair, labs in sorted(shared.items()) if len(labs) > 1}
         )
 
-    @cached_property
+    @_cached_fact
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components of the 4-valent graph, as crossing sets."""
+        """Connected components of the 4-valent graph, as ascending
+        crossing sets in order of their smallest crossing, each found by
+        a breadth-first search over ``alpha``."""
         alpha = self.alpha
-        links = ((d >> 2, alpha[d] >> 2) for d in range(self.n_darts))
-        return tuple(tuple(g) for g in _crossing_classes(self.n, links))
+        seen = bytearray(len(alpha) >> 2)
+        out = []
+        for root in range(len(seen)):
+            if seen[root]:
+                continue
+            seen[root] = 1
+            comp = [root]
+            for c in comp:
+                for a in alpha[4 * c : 4 * c + 4]:
+                    a >>= 2
+                    if not seen[a]:
+                        seen[a] = 1
+                        comp.append(a)
+            comp.sort()
+            out.append(tuple(comp))
+        return tuple(out)
 
     @property
     def is_connected(self) -> bool:
@@ -327,23 +386,27 @@ class PlanarDiagram(RotationSystem):
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]], *, allow_disconnected: bool = False) -> "PlanarDiagram":
-        d = PlanarDiagram(tuple(tuple(int(x) for x in row) for row in rows))
+        d = PlanarDiagram(tuple(tuple(map(int, row)) for row in rows))
         d.validate(allow_disconnected=allow_disconnected)
         return d
 
     def validate(self, *, allow_disconnected: bool = False) -> None:
         self._validate_graph(allow_disconnected=allow_disconnected)
         # Euler test per component: V - E + F = 2 exactly on the sphere.
-        comp_of = {c: i for i, comp in enumerate(self.components) for c in comp}
-        fcount = [0] * len(self.components)
+        comps = self.components
+        comp_of = [0] * self.n
+        for i, comp in enumerate(comps):
+            for c in comp:
+                comp_of[c] = i
+        fcount = [0] * len(comps)
         for f in self.faces:
             fcount[comp_of[f.darts[0] >> 2]] += 1
-        for i, comp in enumerate(self.components):
+        for i, comp in enumerate(comps):
             chi = len(comp) - 2 * len(comp) + fcount[i]
             if chi != 2:
                 raise DiagramError(f"rotation system is not planar: V-E+F = {chi} on component {i}")
 
-    @cached_property
+    @_cached_fact
     def edge_circles(self) -> tuple[Mapping[int, int], Mapping[int, int]]:
         """label -> id of the all-A, and of the all-B, state circle through
         the edge.
@@ -354,16 +417,33 @@ class PlanarDiagram(RotationSystem):
         their smallest edge label, as ``states.state_circles`` numbers
         them. No circle is built.
         """
-        return _edge_circles(self.alpha, [lab for row in self.crossings for lab in row])
+        return _edge_circles(self.alpha, self.flat_labels)
 
-    @cached_property
+    @_cached_fact
     def circle_counts(self) -> tuple[int, int]:
-        """(|s_A|, |s_B|), the numbers of all-A and all-B state circles,
-        read off ``edge_circles``."""
-        a_ids, b_ids = self.edge_circles
-        return max(a_ids.values()) + 1, max(b_ids.values()) + 1
+        """(|s_A|, |s_B|), the numbers of all-A and all-B state circles.
 
-    @cached_property
+        A circle is two orbits of ``d -> alpha[d] ^ 1`` (``^ 3``), one per
+        direction, so each count is half an orbit count, taken on a
+        bytearray of visited darts without labelling the circles.
+        """
+        alpha = self.alpha
+        counts = []
+        for mask in (1, 3):
+            seen = bytearray(len(alpha))
+            orbits = 0
+            for start in range(len(alpha)):
+                if seen[start]:
+                    continue
+                orbits += 1
+                d = start
+                while not seen[d]:
+                    seen[d] = 1
+                    d = alpha[d] ^ mask
+            counts.append(orbits >> 1)
+        return counts[0], counts[1]
+
+    @_cached_fact
     def genus(self) -> int:
         """Turaev genus (c + 2 - |s_A| - |s_B|) / 2 of a connected diagram,
         read off ``circle_counts``."""
@@ -375,17 +455,17 @@ class PlanarDiagram(RotationSystem):
             raise DiagramError(f"impossible circle counts |s_A|={na} |s_B|={nb}")
         return num // 2
 
-    @cached_property
+    @_cached_fact
     def coloring(self) -> "Coloring":
         """Checkerboard coloring with the face at corner 0 of crossing 0 black."""
         return _two_color(self, self.face_at_corner(0, 0))
 
-    @cached_property
+    @_cached_fact
     def signs(self) -> Mapping[int, int]:
         """crossing -> sign relative to the default coloring."""
         return MappingProxyType(_signs(self, self.coloring))
 
-    @cached_property
+    @_cached_fact
     def composite_circles(self) -> tuple[CompositeCircle, ...]:
         return _composite_circles(self)
 
@@ -498,7 +578,8 @@ def non_alternating_edges(diagram: RotationSystem) -> tuple[int, ...]:
 
 
 def is_alternating(diagram: RotationSystem) -> bool:
-    return all(diagram.alternation.values())
+    """True when every edge joins slots of different parity."""
+    return all((d ^ a) & 1 for d, a in enumerate(diagram.alpha))
 
 
 def crossing_signs(diagram: PlanarDiagram, coloring: Coloring | None = None) -> Mapping[int, int]:
@@ -673,18 +754,14 @@ def _encode_from(labels, alpha, n: int, root: int, keep_parity: bool, best) -> t
     return tuple(flat)
 
 
-def _flat_labels(diagram: PlanarDiagram) -> list[int]:
-    return [lab for row in diagram.crossings for lab in row]
-
-
 def canonical_encoding(diagram: PlanarDiagram) -> tuple[tuple[int, int, int, int], ...]:
     """Canonical PD rows, minimal over all rotation-system isomorphisms."""
-    return canonical_rows(_flat_labels(diagram), diagram.alpha, diagram.n)
+    return canonical_rows(diagram.flat_labels, diagram.alpha, diagram.n)
 
 
 def shadow_encoding(diagram: PlanarDiagram) -> tuple[tuple[int, int, int, int], ...]:
     """Canonical rows of the underlying projection, ignoring over/under."""
-    return canonical_rows(_flat_labels(diagram), diagram.alpha, diagram.n, keep_parity=False)
+    return canonical_rows(diagram.flat_labels, diagram.alpha, diagram.n, keep_parity=False)
 
 
 def canonical_code(diagram: PlanarDiagram) -> str:

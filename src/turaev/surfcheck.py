@@ -68,7 +68,7 @@ class SurfaceDiagram(RotationSystem):
 
     @staticmethod
     def from_rows(rows) -> "SurfaceDiagram":
-        s = SurfaceDiagram(tuple(tuple(int(x) for x in row) for row in rows))
+        s = SurfaceDiagram(tuple(tuple(map(int, row)) for row in rows))
         s.validate()
         return s
 
@@ -110,7 +110,7 @@ class SurfaceDiagram(RotationSystem):
         then. The test means nothing for an edge set that is not a dual
         cycle.
         """
-        alpha, label, n = self.alpha, self.label, self.n
+        alpha, labels, n = self.alpha, self.flat_labels, self.n
         up = [-1] * n  # the dart from the tree parent into each crossing
         up[0] = 0  # the root: any non-negative mark
         order = [0]
@@ -122,7 +122,7 @@ class SurfaceDiagram(RotationSystem):
                     order.append(c2)
         if len(order) != n:
             raise DiagramError("spanning tree misses a crossing")
-        tree = {label(up[c]) for c in order[1:]}
+        tree = {labels[up[c]] for c in order[1:]}
         fod = self.face_of_dart
         parent, find = _union_find(len(self.faces))
         signature = dict.fromkeys(self.edge_labels, 0)
@@ -148,7 +148,7 @@ class SurfaceDiagram(RotationSystem):
             )
         for c in reversed(order[1:]):
             d = up[c]
-            signature[label(d)] = marks[c]
+            signature[labels[d]] = marks[c]
             marks[d >> 2] ^= marks[c]
         return MappingProxyType(signature)
 

@@ -28,7 +28,6 @@ from .pdcore import (
     composite_circles,
     is_alternating,
     is_prime,
-    sigma,
 )
 from .states import turaev_genus
 
@@ -95,11 +94,12 @@ def _face_arcs(diagram: PlanarDiagram) -> list[tuple[int, int, CuttingArc | None
     count and the arc joining them, or None when the two edges do not share
     both their all-A and their all-B circle."""
     _require_surgery_input(diagram)
-    alt = diagram.alternation
+    labels, alpha = diagram.flat_labels, diagram.alpha
     a_of, b_of = diagram.edge_circles
     out = []
     for face in diagram.faces:
-        spots = [(i, diagram.label(d)) for i, d in enumerate(face.darts) if not alt[diagram.label(d)]]
+        # A non-alternating edge joins two slots of equal parity.
+        spots = [(i, labels[d]) for i, d in enumerate(face.darts) if not (d ^ alpha[d]) & 1]
         for (i, e1), (j, e2) in combinations(spots, 2):
             if e1 == e2:
                 continue
@@ -261,12 +261,18 @@ def certify_concentric(circles: tuple[CompositeCircle, ...]) -> tuple[tuple[int,
 
 def _crossing_mask(crossings) -> int:
     """Bitmask with bit x set for each crossing x."""
-    return sum(1 << x for x in set(crossings))
+    mask = 0
+    for x in crossings:
+        mask |= 1 << x
+    return mask
 
 
 def _dart_mask(crossings) -> int:
     """Bitmask with the four dart bits of each crossing set."""
-    return sum(15 << 4 * c for c in set(crossings))
+    mask = 0
+    for c in crossings:
+        mask |= 15 << 4 * c
+    return mask
 
 
 class _DartTable:
@@ -280,19 +286,22 @@ class _DartTable:
     """
 
     def __init__(self, diagram: PlanarDiagram):
-        self.labels = [lab for row in diagram.crossings for lab in row]
+        self.labels = list(diagram.flat_labels)
         self.alpha = list(diagram.alpha)
         self.face_min = sum(1 << f.darts[0] for f in diagram.faces)
         self.everything = (1 << diagram.n_darts) - 1
 
     def _walk(self, d: int) -> list[int]:
+        """The face walk through dart d, following phi = sigma(alpha)."""
         alpha = self.alpha
-        walk = [d]
-        x = sigma(alpha[d])
-        while x != d:
+        walk = []
+        x = d
+        while True:
             walk.append(x)
-            x = sigma(alpha[x])
-        return walk
+            x = alpha[x]
+            x = (x & ~3) | ((x + 1) & 3)
+            if x == d:
+                return walk
 
     def cut(self, piece: int, side: int, top: int, da: int, db: int) -> tuple[AttachingEdge, list[tuple[int, int]]]:
         """Surger ``piece`` along the arc joining the edges of darts da and
@@ -344,23 +353,6 @@ class _DartTable:
         labels = self.labels
         rows = [labels[d : d + 4] for d in range(0, len(labels), 4) if piece >> d & 1]
         return PlanarDiagram.from_rows(rows)
-
-
-def split_components(
-    diagram: PlanarDiagram,
-) -> list[tuple[PlanarDiagram, dict[int, int]]]:
-    """Connected components as separate diagrams with dart translation."""
-    out = []
-    for comp in diagram.components:
-        index = {c: i for i, c in enumerate(comp)}
-        rows = [diagram.crossings[c] for c in comp]
-        sub = PlanarDiagram.from_rows(rows)
-        old_to_new = {}
-        for c in comp:
-            for s in range(4):
-                old_to_new[4 * c + s] = 4 * index[c] + s
-        out.append((sub, old_to_new))
-    return out
 
 
 def split_step(diagram: PlanarDiagram) -> SplitStep:

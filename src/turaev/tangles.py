@@ -153,7 +153,7 @@ def decompose(diagram: PlanarDiagram) -> TangleDecomposition:
         whole = Tangle(0, crossing_sets[0], signs[0], ())
         return TangleDecomposition(diagram, True, (whole,), (), ())
 
-    circles = _boundary_circles(diagram, alt)
+    circles = _boundary_circles(diagram)
     per_tangle: dict[int, list[tuple[int, ...]]] = {tid: [] for tid in range(len(crossing_sets))}
     for circle in circles:
         owners = {tangle_of_crossing[d >> 2] for d in circle}
@@ -174,7 +174,7 @@ def decompose(diagram: PlanarDiagram) -> TangleDecomposition:
     return TangleDecomposition(diagram, False, tangles, tuple(channel), channel_faces)
 
 
-def _boundary_circles(diagram: PlanarDiagram, alt: dict[int, bool]) -> list[tuple[int, ...]]:
+def _boundary_circles(diagram: PlanarDiagram) -> list[tuple[int, ...]]:
     """Orbits of the tangle-boundary successor on non-alternating darts.
 
     A non-alternating dart stands for the marked point near its tail. The
@@ -184,7 +184,7 @@ def _boundary_circles(diagram: PlanarDiagram, alt: dict[int, bool]) -> list[tupl
     alpha = diagram.alpha
     next_non_alt: dict[int, int] = {}
     for face in diagram.faces:
-        idxs = [i for i, d in enumerate(face.darts) if not alt[diagram.label(d)]]
+        idxs = [i for i, d in enumerate(face.darts) if not (d ^ alpha[d]) & 1]
         if len(idxs) % 2:
             raise DiagramError(f"face {face.id} has an odd number of non-alternating incidences")
         for k, i in enumerate(idxs):

@@ -283,6 +283,136 @@ def hayashi_by_dual_dfs(s) -> int | None:
     return best
 
 
+# -- the rotation-system core, label by label ---------------------------------
+# The dict-of-lists pairing, the sigma face walk, the union-find components
+# and the edge-circle counts that ``pdcore`` computed before it read every
+# fact off the flat ``flat_labels`` and ``alpha`` arrays.
+
+
+def alpha_by_label_lists(diagram):
+    """The dart involution from a label -> darts list per label."""
+    from turaev.pdcore import DiagramError
+
+    where = {}
+    for d in range(diagram.n_darts):
+        where.setdefault(diagram.label(d), []).append(d)
+    bad = sorted(lab for lab, ds in where.items() if len(ds) != 2)
+    if bad:
+        raise DiagramError(f"edge labels must occur exactly twice, violated by {bad}")
+    a = [0] * diagram.n_darts
+    for d1, d2 in where.values():
+        a[d1], a[d2] = d2, d1
+    return tuple(a)
+
+
+def edge_darts_by_label(diagram):
+    """label -> (smaller dart, larger dart), read dart by dart."""
+    alpha = alpha_by_label_lists(diagram)
+    return {diagram.label(d): (d, alpha[d]) for d in range(diagram.n_darts) if d < alpha[d]}
+
+
+def alternation_by_label(diagram):
+    """label -> whether the edge's two slots differ in parity."""
+    return {lab: bool((d1 ^ d2) & 1) for lab, (d1, d2) in edge_darts_by_label(diagram).items()}
+
+
+def faces_by_sigma_walk(diagram):
+    """The faces as ``pdcore.Face`` records and each dart's face id, from
+    phi = sigma(alpha) orbits taken in order of their smallest dart."""
+    from turaev.pdcore import Face, sigma
+
+    alpha = alpha_by_label_lists(diagram)
+    seen = [False] * diagram.n_darts
+    faces = []
+    for start in range(diagram.n_darts):
+        if seen[start]:
+            continue
+        walk = []
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            walk.append(d)
+            d = sigma(alpha[d])
+        faces.append(Face(len(faces), tuple(walk)))
+    face_of_dart = [0] * diagram.n_darts
+    for f in faces:
+        for d in f.darts:
+            face_of_dart[d] = f.id
+    return tuple(faces), tuple(face_of_dart)
+
+
+def components_by_union_find(diagram):
+    """Crossing classes joined by every dart link, each ascending, sorted."""
+    alpha = alpha_by_label_lists(diagram)
+    uf = UnionFind(diagram.n)
+    for d in range(diagram.n_darts):
+        uf.union(d >> 2, alpha[d] >> 2)
+    groups = {}
+    for c in range(diagram.n):
+        groups.setdefault(uf.find(c), []).append(c)
+    return tuple(tuple(g) for g in sorted(groups.values()))
+
+
+def circle_counts_by_edge_circles(diagram):
+    """(|s_A|, |s_B|) as one more than the largest circle id the orbit
+    numbering of ``pdcore._edge_circles`` gives any edge label."""
+    from turaev.pdcore import _edge_circles
+
+    labels = [diagram.label(d) for d in range(diagram.n_darts)]
+    a_ids, b_ids = _edge_circles(alpha_by_label_lists(diagram), labels)
+    return max(a_ids.values()) + 1, max(b_ids.values()) + 1
+
+
+def genus_by_edge_circles(diagram):
+    na, nb = circle_counts_by_edge_circles(diagram)
+    return (diagram.n + 2 - na - nb) // 2
+
+
+def validate_by_reference(diagram, *, planar=True, allow_disconnected=False):
+    """The checks of ``validate`` in their order and with their messages,
+    on the kernels above: the row widths, label multiplicity, connectivity,
+    then the Euler test, per component for a planar diagram and the parity
+    of the Euler defect for a surface diagram."""
+    from turaev.pdcore import DiagramError
+
+    if not diagram.crossings:
+        raise DiagramError("diagram has no crossings")
+    for row in diagram.crossings:
+        if len(row) != 4:
+            raise DiagramError(f"crossing {row!r} does not have 4 slots")
+    alpha_by_label_lists(diagram)
+    components = components_by_union_find(diagram)
+    if not allow_disconnected and len(components) > 1:
+        raise DiagramError("underlying 4-valent graph is disconnected")
+    faces, _ = faces_by_sigma_walk(diagram)
+    if not planar:
+        if (2 - diagram.n + 2 * diagram.n - len(faces)) % 2:
+            raise DiagramError("odd Euler defect; rotation system corrupted")
+        return
+    comp_of = {c: i for i, comp in enumerate(components) for c in comp}
+    fcount = [0] * len(components)
+    for f in faces:
+        fcount[comp_of[f.darts[0] >> 2]] += 1
+    for i, comp in enumerate(components):
+        chi = len(comp) - 2 * len(comp) + fcount[i]
+        if chi != 2:
+            raise DiagramError(f"rotation system is not planar: V-E+F = {chi} on component {i}")
+
+
+def split_components(diagram):
+    """Connected components as separate diagrams, each with its dart
+    translation old dart -> new dart."""
+    from turaev.pdcore import PlanarDiagram
+
+    out = []
+    for comp in diagram.components:
+        index = {c: i for i, c in enumerate(comp)}
+        sub = PlanarDiagram.from_rows([diagram.crossings[c] for c in comp])
+        old_to_new = {4 * c + s: 4 * index[c] + s for c in comp for s in range(4)}
+        out.append((sub, old_to_new))
+    return out
+
+
 def composite_circles_by_cut_pairs(diagram):
     """Composite circles by one union-find per edge pair of each face pair:
     the pair is kept when deleting its two edges leaves exactly two crossing
@@ -341,7 +471,7 @@ def split_by_sequential_peel(intermediate, attaching):
     of the cutting-arc surgery that made ``intermediate``.
     """
     from turaev.pdcore import BLACK, DiagramError, checkerboard, composite_circles
-    from turaev.surgery import split_components, surger_arc
+    from turaev.surgery import surger_arc
 
     def surger_composite(diagram, coloring, circle):
         f1, f2 = circle.faces

@@ -82,10 +82,9 @@ def test_criterion_3_cutting_arc_surgery(corpus_facts):
         nb2 = state_circles(result, all_b(result)).n
         assert (na2, nb2) == (na + 1, nb + 1), d.to_pd_text()
         # Genus drops by one, summed over components when it splits.
-        from turaev.surgery import split_components
         from turaev.states import turaev_genus
 
-        total = sum(turaev_genus(c) for c, _ in split_components(result))
+        total = sum(turaev_genus(c) for c, _ in oracles.split_components(result))
         assert total == genus - 1, d.to_pd_text()
         checked += 1
     _report(3, f"cutting-arc existence and exact circle splitting on {checked} diagrams")

@@ -25,7 +25,7 @@ from turaev.pdcore import (
     parse_pd,
 )
 from turaev.states import loop_crossings, turaev_genus
-from turaev.surgery import find_cutting_arcs, split_components, surger_arc
+from turaev.surgery import find_cutting_arcs, surger_arc
 from turaev.tangles import decompose, gen_cycle
 
 import oracles
@@ -243,7 +243,7 @@ class TestCoreArc:
     def test_pseudotref_genus_drop(self):
         arc = core_arc(PSEUDOTREF, 0)
         result, _ = surger_arc(PSEUDOTREF, arc.face, arc.positions[0], arc.positions[1])
-        total = sum(turaev_genus(p) for p, _ in split_components(result))
+        total = sum(turaev_genus(p) for p, _ in oracles.split_components(result))
         assert total == 0
 
     def test_cycle4_arc_is_cutting_arc(self):
@@ -265,7 +265,7 @@ class TestCoreArc:
             for c in set(report.a_loops) | set(report.b_loops):
                 arc = core_arc(d, c)
                 result, _ = surger_arc(d, arc.face, arc.positions[0], arc.positions[1])
-                total = sum(turaev_genus(p) for p, _ in split_components(result))
+                total = sum(turaev_genus(p) for p, _ in oracles.split_components(result))
                 assert total == turaev_genus(d) - 1
 
 

@@ -308,3 +308,145 @@ class TestReadRows:
     def test_text_and_json_agree(self):
         d = parse_pd(TREFOIL)
         assert pdcore.read_rows(d.to_json()) == pdcore.read_rows(TREFOIL) == list(d.crossings)
+
+
+def _outcome(build, rows):
+    """('ok', n) or the exception type and message ``build(rows)`` raises."""
+    try:
+        return "ok", build(rows).n
+    except Exception as exc:  # noqa: BLE001 - the type is the comparison
+        return type(exc), str(exc)
+
+
+def _constructors():
+    """(library, reference) constructor pairs: planar, planar allowing
+    disconnected input, and surface."""
+    from turaev.surfcheck import SurfaceDiagram
+
+    def pair(cls, **kw):
+        def reference(rows):
+            d = cls(tuple(map(tuple, rows)))
+            oracles.validate_by_reference(d, planar=cls is PlanarDiagram, **kw)
+            return d
+
+        return (lambda rows: cls.from_rows(rows, **kw)), reference
+
+    return [pair(PlanarDiagram), pair(PlanarDiagram, allow_disconnected=True), pair(SurfaceDiagram)]
+
+
+class TestFlatCore:
+    """The facts read off ``flat_labels`` and ``alpha`` against the label-by-
+    label kernels they replaced, kept in ``oracles``."""
+
+    @staticmethod
+    def assert_core_matches(d):
+        faces, face_of_dart = oracles.faces_by_sigma_walk(d)
+        assert d.flat_labels == tuple(d.label(x) for x in range(d.n_darts))
+        assert d.alpha == oracles.alpha_by_label_lists(d), d.crossings
+        assert d.faces == faces and d.face_of_dart == face_of_dart, d.crossings
+        assert d.components == oracles.components_by_union_find(d), d.crossings
+        # Key order too: callers iterate these mappings.
+        assert list(d.edge_darts.items()) == list(oracles.edge_darts_by_label(d).items()), d.crossings
+        alternation = oracles.alternation_by_label(d)
+        assert list(d.alternation.items()) == list(alternation.items()), d.crossings
+        assert pdcore.is_alternating(d) == all(alternation.values()), d.crossings
+
+    @classmethod
+    def assert_planar_matches(cls, diagrams) -> int:
+        count = 0
+        for d in diagrams:
+            for x in (d, mirror(d)):
+                cls.assert_core_matches(x)
+                assert x.circle_counts == oracles.circle_counts_by_edge_circles(x), x.crossings
+                if x.is_connected:
+                    assert x.genus == oracles.genus_by_edge_circles(x), x.crossings
+                else:
+                    with pytest.raises(DiagramError, match="Turaev genus is defined for connected diagrams"):
+                        x.genus
+            count += 1
+        return count
+
+    def test_exhaustive_5(self, exhaustive_rows):
+        assert self.assert_planar_matches(PlanarDiagram(rows) for rows in exhaustive_rows if len(rows) <= 5) == 5211
+
+    def test_random_corpus(self, random_rows):
+        assert self.assert_planar_matches(PlanarDiagram(rows) for rows in random_rows) == len(random_rows)
+
+    def test_seeded_primes(self, bench_inputs):
+        rng = random.Random(20261020)
+        primes = [PlanarDiagram.from_rows(bench_inputs.prime_rows(rng, rng.randint(9, 60), None)) for _ in range(40)]
+        assert self.assert_planar_matches(primes) == 40
+
+    def test_disconnected_unions(self, random_rows):
+        rng = random.Random(17)
+        unions = []
+        for _ in range(60):
+            parts = [rng.choice(random_rows) for _ in range(rng.randint(2, 4))]
+            rows, top = [], 0
+            for part in parts:
+                rows += [tuple(lab + top for lab in row) for row in part]
+                top += max(map(max, part))
+            rng.shuffle(rows)
+            unions.append(PlanarDiagram.from_rows(rows, allow_disconnected=True))
+        assert all(len(d.components) >= 2 for d in unions)
+        assert self.assert_planar_matches(unions) == 60
+
+    def test_turaev_surfaces(self, exhaustive_rows, bench_inputs):
+        from turaev.surfcheck import turaev_surface
+
+        rng = random.Random(20261021)
+        planar = [PlanarDiagram(rows) for rows in exhaustive_rows if len(rows) <= 5][::7]
+        planar += [PlanarDiagram.from_rows(bench_inputs.prime_rows(rng, rng.randint(9, 40), None)) for _ in range(10)]
+        for d in planar:
+            for x in (d, mirror(d)):
+                s = turaev_surface(x)
+                self.assert_core_matches(s)
+                assert s.genus == oracles.genus_by_edge_circles(x)
+
+    MALFORMED = [
+        [],
+        [(1, 1, 2, 3)],  # labels 2 and 3 once
+        [(1, 1, 1, 2)],  # label 1 three times, 2 once
+        [(1, 1, 1, 2), (2, 2, 3, 3)],  # labels 1 and 2 three times
+        [(1, 2, 3)],
+        [(1, 1, 2, 2), (3, 4, 4)],
+        [(1, 1, 2, 2), (3, 3, 4, 4)],  # disconnected
+        [(1, 2, 1, 2)],  # one face: V - E + F = 0
+        [(1, 2, 1, 2), (3, 4, 3, 4)],
+        [(1, 2, 3, 4), (3, 4, 1, 2)],
+    ]
+
+    @pytest.mark.parametrize("rows", MALFORMED)
+    def test_malformed_rows_raise_as_before(self, rows):
+        for build, reference in _constructors():
+            assert _outcome(build, rows) == _outcome(reference, rows)
+        assert _outcome(PlanarDiagram.from_rows, rows)[0] is DiagramError
+
+    def test_mutated_rows_validate_as_before(self, random_rows):
+        """Swapped, copied and dropped labels: every constructor accepts
+        exactly what the reference checks accept and raises their message
+        otherwise."""
+        rng = random.Random(23)
+        verdicts = set()
+        for rows in random_rows[:400]:
+            flat = [lab for row in rows for lab in row]
+            i, j = rng.randrange(len(flat)), rng.randrange(len(flat))
+            kind = rng.randrange(3)
+            if kind == 0:
+                flat[i], flat[j] = flat[j], flat[i]
+            elif kind == 1:
+                flat[i] = flat[j]
+            mutated = [tuple(flat[k : k + 4]) for k in range(0, len(flat), 4)]
+            if kind == 2:
+                del mutated[i >> 2]
+            for build, reference in _constructors():
+                got = _outcome(build, mutated)
+                assert got == _outcome(reference, mutated), mutated
+                verdicts.add("ok" if got[0] == "ok" else got[1].split(":")[0].split(" violated")[0])
+        # The mutations reach every check that can fail on 4-slot rows.
+        assert verdicts >= {
+            "ok",
+            "edge labels must occur exactly twice,",
+            "underlying 4-valent graph is disconnected",
+            "rotation system is not planar",
+        }, verdicts

@@ -1,6 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
-from turaev import fixtures
+from turaev import cli, fixtures
 from turaev.corpus import random_prime_diagrams
 from turaev.pdcore import (
     DiagramError,
@@ -20,7 +23,6 @@ from turaev.surgery import (
     inverse_surgery,
     outermost_bigon_arc,
     reduce_ladder,
-    split_components,
     split_step,
     surger_arc,
     surger_cutting_arc,
@@ -31,6 +33,9 @@ import oracles
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 PSEUDOTREF = parse_pd("X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]")
 CLASP2 = parse_pd("X[1,2,3,4] X[3,2,1,4]")
+# Pinned from the label-by-label rotation-system core; see
+# TestReduceLadder.test_reduce_json_pinned_on_seeded_primes.
+SEEDED_PRIME_LADDERS_SHA256 = "8ff6dea6be97aa187ee2f3677f695b3b995a0341382206fc4a769f31481df11a"
 
 
 def circle_counts(d):
@@ -111,7 +116,7 @@ class TestSurgerArc:
                 result, _ = surger_cutting_arc(d, arc)
                 assert circle_counts(result) == (na + 1, nb + 1)
                 total = sum(
-                    turaev_genus(piece) for piece, _ in split_components(result)
+                    turaev_genus(piece) for piece, _ in oracles.split_components(result)
                 )
                 assert total == g - 1
 
@@ -258,6 +263,22 @@ class TestReduceLadder:
             parse_pd(step["diagram"])
             for out in step["results"]:
                 parse_pd(out)
+
+    def test_reduce_json_pinned_on_seeded_primes(self, bench_inputs):
+        """The ``turaev reduce`` worker JSON of 60 seeded primes of 9-60
+        crossings, a third each capped at genus 1, at genus 2 and uncapped
+        (184 cut steps in all), against a pinned digest."""
+        rng = random.Random(20261020)
+        caps = (1, 2, None)
+        digest = hashlib.sha256()
+        steps = 0
+        for k in range(60):
+            rows = bench_inputs.prime_rows(rng, rng.randint(9, 60), caps[k % 3])
+            out = cli._reduce_worker(bench_inputs.pd_text(rows))
+            steps += out["cutSteps"]
+            digest.update(cli._dump(out).encode() + b"\n")
+        assert steps == 184
+        assert digest.hexdigest() == SEEDED_PRIME_LADDERS_SHA256
 
 
 class TestSplitStepTraces:
