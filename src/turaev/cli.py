@@ -26,6 +26,7 @@ from .pdcore import (
     DiagramError,
     PlanarDiagram,
     Refused,
+    canonical_encoding,
     is_alternating,
     is_prime,
     parse_pd,
@@ -242,34 +243,32 @@ def _verify_entry(d: PlanarDiagram, entry: dict) -> str | None:
 def _cmd_corpus(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    diagrams = corpus_mod.exhaustive(args.max_crossings)
+    classes = corpus_mod.exhaustive(args.max_crossings)
     if args.random_count:
-        from .pdcore import canonical_encoding
-
-        seen = {d.crossings for d in diagrams}
+        seen = set(classes)
         for d in corpus_mod.random_corpus(args.seed, args.random_count, args.random_max_crossings):
-            c = PlanarDiagram(canonical_encoding(d))
-            if c.crossings not in seen:
-                seen.add(c.crossings)
-                diagrams.append(c)
+            rows = canonical_encoding(d)
+            if rows not in seen:
+                seen.add(rows)
+                classes.append(rows)
     diagram_dir = outdir / "diagrams"
     diagram_dir.mkdir(exist_ok=True)
-    lines = []
     violations = []
-    for k in range(len(diagrams)):
-        # Drop each diagram, and the facts it cached, once its entry is made.
-        d, diagrams[k] = diagrams[k], None
-        entry = _corpus_entry(d)
-        if args.verify:
-            problem = _verify_entry(d, entry)
-            if problem:
-                violations.append((entry["pd"], problem))
-        name = f"{k:06d}.pd"
-        (diagram_dir / name).write_text(entry["pd"] + "\n", encoding="utf-8")
-        entry["file"] = f"diagrams/{name}"
-        lines.append(_dump(entry))
-    (outdir / "manifest.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(lines)} diagrams to {outdir}")
+    # One diagram at a time: each class is built, validated, written to
+    # its file and to the manifest, and dropped before the next.
+    with (outdir / "manifest.jsonl").open("w", encoding="utf-8") as manifest:
+        for k, rows in enumerate(classes):
+            d = PlanarDiagram.from_rows(rows)
+            entry = _corpus_entry(d)
+            if args.verify:
+                problem = _verify_entry(d, entry)
+                if problem:
+                    violations.append((entry["pd"], problem))
+            name = f"{k:06d}.pd"
+            (diagram_dir / name).write_text(entry["pd"] + "\n", encoding="utf-8")
+            entry["file"] = f"diagrams/{name}"
+            manifest.write(_dump(entry) + "\n")
+    print(f"wrote {len(classes)} diagrams to {outdir}")
     for pd_code, problem in violations:
         print(f"violation: {problem}: {pd_code}", file=sys.stderr)
     return EXIT_VIOLATION if violations else EXIT_OK

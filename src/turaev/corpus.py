@@ -16,6 +16,12 @@ on every n-crossing projection give every n-crossing diagram. Duplicates
 are removed with the canonical form, without parity for projections and
 with it for diagrams.
 
+The corpus is enumerated as canonical rows only: a class costs a few
+tuples, not a validated diagram with its cached facts. Consumers build
+and report one diagram at a time (``turaev corpus`` writes each class's
+file and manifest line before it builds the next), so an enumeration
+holds the rows plus one diagram.
+
 Each insertion is written in its planar arrangements only, and that
 loses nothing. Smoothing a crossing joins its stubs in adjacent pairs,
 and the crossing sits in the face of the smoothed projection between the
@@ -129,13 +135,17 @@ def _over_under_choices(shadow: Rows) -> set[Rows]:
     }
 
 
-def exhaustive(max_crossings: int) -> list[PlanarDiagram]:
-    """All connected diagrams with 1..max_crossings crossings, one per
-    isomorphism class, in canonical form, deterministically ordered."""
-    out: list[PlanarDiagram] = []
+def exhaustive(max_crossings: int) -> list[Rows]:
+    """The canonical rows of every connected diagram with 1..max_crossings
+    crossings, one per isomorphism class, sorted within each crossing
+    count. Callers build and validate each class with
+    ``PlanarDiagram.from_rows`` when they need it."""
+    out: list[Rows] = []
     for shadows in _shadow_levels(max_crossings):
-        level = set().union(*map(_over_under_choices, shadows))
-        out.extend(PlanarDiagram.from_rows(rows) for rows in sorted(level))
+        level: set[Rows] = set()
+        for shadow in shadows:
+            level |= _over_under_choices(shadow)
+        out.extend(sorted(level))
     return out
 
 

@@ -242,20 +242,37 @@ def certify_concentric(circles: tuple[CompositeCircle, ...]) -> tuple[tuple[int,
     """
     if not circles:
         return ()
-    masks = [(_crossing_mask(c.sides[0]), _crossing_mask(c.sides[1])) for c in circles]
-    tried = set()
-    best: tuple[int, ...] | None = None
-    for x in sorted({x for c in circles for side in c.sides for x in side}):
-        choice = tuple(0 if m0 >> x & 1 else 1 for m0, _ in masks)
-        if choice in tried or (best is not None and choice > best):
-            continue
-        tried.add(choice)
-        chosen = sorted((masks[i][choice[i]] for i in range(len(circles))), key=int.bit_count)
+    # Crossing x's choice vector as an int, circle 0 in the top bit, so
+    # that int order is lexicographic order: bit i is set iff x lies in
+    # circle i's sides[1]. The sides partition the crossings, so each
+    # circle reads only its smaller side: it flips its bit there, from a
+    # base vector, and takes the other side's mask as the complement.
+    k = len(circles)
+    every = circles[0].sides[0] + circles[0].sides[1]
+    full = _crossing_mask(every)
+    flips = dict.fromkeys(every, 0)
+    base = 0
+    masks = []
+    for i, (s0, s1) in enumerate(c.sides for c in circles):
+        bit = 1 << (k - 1 - i)
+        flip_s0 = len(s0) < len(s1)
+        mask = 0
+        for x in s0 if flip_s0 else s1:
+            flips[x] ^= bit
+            mask |= 1 << x
+        if flip_s0:
+            base |= bit
+            masks.append((mask, full ^ mask))
+        else:
+            masks.append((full ^ mask, mask))
+    for v in sorted({base ^ f for f in flips.values()}):
+        best = [v >> (k - 1 - i) & 1 for i in range(k)]
+        chosen = sorted((masks[i][best[i]] for i in range(k)), key=int.bit_count)
         if all(inner & ~outer == 0 for inner, outer in zip(chosen, chosen[1:])):
-            best = choice
-    if best is None:
+            break
+    else:
         raise DiagramError("composite circles are not concentric")
-    ordered = sorted(range(len(circles)), key=lambda i: len(circles[i].sides[best[i]]))
+    ordered = sorted(range(k), key=lambda i: len(circles[i].sides[best[i]]))
     return tuple(tuple(sorted(circles[i].sides[best[i]])) for i in ordered)
 
 
@@ -351,7 +368,11 @@ class _DartTable:
 
     def diagram(self, piece: int) -> PlanarDiagram:
         labels = self.labels
-        rows = [labels[d : d + 4] for d in range(0, len(labels), 4) if piece >> d & 1]
+        rows = []
+        while piece:  # the piece's crossings in ascending order, four dart bits each
+            d = (piece & -piece).bit_length() - 1
+            rows.append(labels[d : d + 4])
+            piece &= ~(15 << d)
         return PlanarDiagram.from_rows(rows)
 
 

@@ -45,7 +45,7 @@ def exhaustive_rows():
     """Canonical rows of every connected diagram with <= 6 crossings."""
 
     def build():
-        return [d.crossings for d in corpus_mod.exhaustive(EXHAUSTIVE_MAX)]
+        return corpus_mod.exhaustive(EXHAUSTIVE_MAX)
 
     return _load_or_build(f"exhaustive{EXHAUSTIVE_MAX}.rows.pkl", build)
 
@@ -69,13 +69,13 @@ def corpus_facts(corpus_rows):
     """Per-diagram basics shared by the acceptance criteria.
 
     One tuple per corpus diagram: (rows, n_a, n_b, genus, prime,
-    alternating, verdict).
+    alternating, verdict). Each diagram is validated as it is built.
     """
 
     def build():
         out = []
         for rows in corpus_rows:
-            d = pdcore.PlanarDiagram(rows)
+            d = pdcore.PlanarDiagram.from_rows(rows)
             report = states.diagram_report(d)
             out.append(
                 (
@@ -96,7 +96,7 @@ def corpus_facts(corpus_rows):
 @pytest.fixture(scope="session")
 def small_exhaustive_rows():
     """Connected diagrams with <= 4 crossings, for the cheaper property tests."""
-    return [d.crossings for d in corpus_mod.exhaustive(4)]
+    return corpus_mod.exhaustive(4)
 
 
 @pytest.fixture(scope="session")

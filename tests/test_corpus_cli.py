@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("n,expected", [(1, 2), (2, 8), (3, 44)])
     def test_matches_bruteforce_matchings(self, n, expected):
         ours = {
-            canonical_encoding(d) for d in corpus.exhaustive(n) if d.n == n
+            canonical_encoding(PlanarDiagram.from_rows(rows)) for rows in corpus.exhaustive(n) if len(rows) == n
         }
         brute = oracles.brute_force_all_diagrams(n)
         assert ours == brute
@@ -38,7 +39,7 @@ class TestEnumeration:
 
     def test_matches_insertion_oracle(self, insertion_rows):
         for k in range(1, 6):
-            ours = [d.crossings for d in corpus.exhaustive(k)]
+            ours = corpus.exhaustive(k)
             assert ours == [rows for rows in insertion_rows if len(rows) <= k]
 
     def test_shadow_levels_match_oracle(self, insertion_rows):
@@ -55,9 +56,8 @@ class TestEnumeration:
                     assert PlanarDiagram.from_rows(child).n == n + 1
 
     def test_canonical_and_sorted(self):
-        diagrams = corpus.exhaustive(3)
-        rows = [d.crossings for d in diagrams]
-        assert all(canonical_encoding(d) == d.crossings for d in diagrams)
+        rows = corpus.exhaustive(3)
+        assert all(canonical_encoding(PlanarDiagram.from_rows(r)) == r for r in rows)
         by_n = {}
         for r in rows:
             by_n.setdefault(len(r), []).append(r)
@@ -67,7 +67,7 @@ class TestEnumeration:
     def test_trefoil_projection_in_three_crossing_corpus(self):
         from turaev.pdcore import shadow_encoding
 
-        shadows = {shadow_encoding(d) for d in corpus.exhaustive(3) if d.n == 3}
+        shadows = {shadow_encoding(PlanarDiagram.from_rows(r)) for r in corpus.exhaustive(3) if len(r) == 3}
         assert shadow_encoding(fixtures.trefoil()) in shadows
 
     def test_random_corpus_deterministic(self):
@@ -257,6 +257,47 @@ class TestCliCorpus:
             assert entry["c"] == d.n
             assert (out / entry["file"]).exists()
 
+    def test_holds_one_diagram_at_a_time(self, capsys, tmp_path, monkeypatch):
+        # Every diagram the run builds is tracked; when an entry is made,
+        # at most the current diagram and the one before it may be alive.
+        built = []
+        live = []
+        from_rows, corpus_entry = PlanarDiagram.from_rows, cli._corpus_entry
+
+        def tracked_from_rows(*args, **kwargs):
+            d = from_rows(*args, **kwargs)
+            built.append(weakref.ref(d))
+            return d
+
+        def counted_entry(d):
+            live.append(sum(ref() is not None for ref in built))
+            return corpus_entry(d)
+
+        monkeypatch.setattr(PlanarDiagram, "from_rows", staticmethod(tracked_from_rows))
+        monkeypatch.setattr(cli, "_corpus_entry", counted_entry)
+        code, _, _ = run_cli(capsys, "corpus", "--out", str(tmp_path), "--max-crossings", "4", "--verify")
+        assert code == 0
+        assert len(live) == 471
+        assert max(live) <= 2
+
+    def test_stopped_run_keeps_written_lines(self, capsys, tmp_path, monkeypatch):
+        corpus_entry = cli._corpus_entry
+        made = []
+
+        def failing_entry(d):
+            if len(made) == 7:
+                raise DiagramError("stopped")
+            made.append(d.to_pd_text())
+            return corpus_entry(d)
+
+        monkeypatch.setattr(cli, "_corpus_entry", failing_entry)
+        code, _, err = run_cli(capsys, "corpus", "--out", str(tmp_path), "--max-crossings", "3")
+        assert code == 2
+        assert "stopped" in err
+        lines = (tmp_path / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["pd"] for line in lines] == made
+        assert sorted(p.name for p in (tmp_path / "diagrams").iterdir()) == [f"{k:06d}.pd" for k in range(7)]
+
     def test_max_crossings_below_one_rejected(self, capsys, tmp_path):
         out = tmp_path / "c0"
         for value in ("0", "-3"):
@@ -317,6 +358,9 @@ GOLDEN_DIGESTS = {
 }
 # manifest.jsonl of `turaev corpus --max-crossings 4 --verify`.
 GOLDEN_MANIFEST_4 = "f097663a5de97a8d99ab715f9a6406c1d92fe183c6491bfd1c01597a069cb6c5"
+# manifest.jsonl then every diagrams/*.pd in name order, of `turaev corpus
+# --max-crossings 4 --verify --seed 9 --random-count 20`.
+GOLDEN_TREE_4_RANDOM = "ea7fe94d7e28f973ddd0cd8cd248f84e71d4b3cc5d0eb0f1e816f9c251424272"
 
 
 def _sha256(data: bytes) -> str:
@@ -339,6 +383,15 @@ class TestCliGolden:
         code, _, _ = run_cli(capsys, "corpus", "--out", str(tmp_path), "--max-crossings", "4", "--verify")
         assert code == 0
         assert _sha256((tmp_path / "manifest.jsonl").read_bytes()) == GOLDEN_MANIFEST_4
+
+    def test_corpus_tree_with_random_additions(self, capsys, tmp_path):
+        argv = ["corpus", "--out", str(tmp_path), "--max-crossings", "4", "--verify", "--seed", "9", "--random-count", "20"]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        files = sorted((tmp_path / "diagrams").glob("*.pd"))
+        assert len(files) == 483
+        data = (tmp_path / "manifest.jsonl").read_bytes() + b"".join(p.read_bytes() for p in files)
+        assert _sha256(data) == GOLDEN_TREE_4_RANDOM
 
 
 class TestCliMalformedJson:
