@@ -60,6 +60,7 @@ def _map_files(paths, worker, jobs: int):
 
     A worker that raises DiagramError or Refused on one file gives that
     file an error or refused record; the rest of the batch still runs.
+    The pool has at most one process per readable file.
     """
     texts = []
     results = []
@@ -68,8 +69,9 @@ def _map_files(paths, worker, jobs: int):
             texts.append(_read(p))
         except OSError as exc:
             texts.append(exc)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, sum(not isinstance(t, OSError) for t in texts))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 None if isinstance(t, OSError) else pool.submit(worker, t) for t in texts
             ]
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats=("json", "text")):
         p.add_argument("files", nargs="+", metavar="FILE")
         p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_positive_int, default=1)
 
     p_info = sub.add_parser("info", help="crossing, state circle, genus and adequacy report")
     common(p_info)

@@ -28,7 +28,9 @@ one first-occurrence pass gives ``alpha``, one phi walk the faces, a
 breadth-first search over ``alpha`` the components, and the slot parity
 ``(d ^ alpha[d]) & 1`` the alternation. ``PlanarDiagram`` adds the planar
 facts (each edge's state circles, the circle counts, Turaev genus,
-coloring, signs, composite circles) the same way.
+signs, coloring, composite circles) the same way; one more search over
+``alpha`` flips the checkerboard sign across each non-alternating edge,
+and the coloring is read off the signs.
 
 Text format: whitespace-separated terms ``X[a,b,c,d]`` with positive
 integer edge labels; the order of terms is the crossing index. JSON mirror:
@@ -456,14 +458,40 @@ class PlanarDiagram(RotationSystem):
         return num // 2
 
     @_cached_fact
-    def coloring(self) -> "Coloring":
-        """Checkerboard coloring with the face at corner 0 of crossing 0 black."""
-        return _two_color(self, self.face_at_corner(0, 0))
+    def signs(self) -> Mapping[int, int]:
+        """crossing -> +1 exactly when the corners at slots (0,1) and (2,3)
+        lie in black faces of ``coloring``. Crossing 0 is +1; a breadth-
+        first search over ``alpha`` keeps the sign across an alternating
+        edge and flips it across a non-alternating one, so the two faces
+        along every edge differ in color. An edge that disagrees, or a
+        crossing never reached, raises ``DiagramError``."""
+        alpha = self.alpha
+        sign = [0] * self.n
+        sign[0] = 1
+        queue = [0]
+        for c in queue:
+            s = sign[c]
+            for d in range(4 * c, 4 * c + 4):
+                a = alpha[d]
+                want = s if (d ^ a) & 1 else -s
+                other = sign[a >> 2]
+                if not other:
+                    sign[a >> 2] = want
+                    queue.append(a >> 2)
+                elif other != want:
+                    raise DiagramError(f"edge {self.flat_labels[d]} breaks the checkerboard signs")
+        if len(queue) != self.n:
+            raise DiagramError("checkerboard signs did not reach every crossing; diagram disconnected?")
+        return MappingProxyType(dict(enumerate(sign)))
 
     @_cached_fact
-    def signs(self) -> Mapping[int, int]:
-        """crossing -> sign relative to the default coloring."""
-        return MappingProxyType(_signs(self, self.coloring))
+    def coloring(self) -> "Coloring":
+        """Checkerboard coloring with the face at corner 0 of crossing 0
+        black, read off ``signs``: the face right of dart d is black
+        exactly when ``(signs[d >> 2] > 0) == bool(d & 1)``."""
+        signs = self.signs
+        first = (f.darts[0] for f in self.faces)
+        return Coloring(tuple(BLACK if (signs[d >> 2] > 0) == bool(d & 1) else WHITE for d in first))
 
     @_cached_fact
     def composite_circles(self) -> tuple[CompositeCircle, ...]:
@@ -521,8 +549,9 @@ def parse_pd(text: str, *, allow_disconnected: bool = False) -> PlanarDiagram:
 
 
 # -- interrogation ---------------------------------------------------------
-# The readers of a cached fact take the diagram alone; passing an anchor or
-# a coloring computes a fresh value.
+# The readers of a cached fact take the diagram alone. The checkerboard has
+# two colorings and two sign assignments, so an anchor or a coloring picks
+# the cached one or its swap.
 
 
 def faces(diagram: RotationSystem) -> tuple[Face, ...]:
@@ -534,35 +563,14 @@ def checkerboard(diagram: PlanarDiagram, *, black_face: int | None = None) -> Co
 
     By default the face at corner 0 of crossing 0 (between slots 0 and 1)
     is black, which makes the coloring deterministic. Pass ``black_face``
-    to re-anchor.
+    to re-anchor: the result is the default coloring or its swap.
     """
-    return diagram.coloring if black_face is None else _two_color(diagram, black_face)
-
-
-def _two_color(diagram: PlanarDiagram, anchor: int) -> Coloring:
-    nf = len(diagram.faces)
-    colors: list[str | None] = [None] * nf
-    adjacency: list[set[int]] = [set() for _ in range(nf)]
-    for lab, (d1, d2) in diagram.edge_darts.items():
-        f1, f2 = diagram.face_of_dart[d1], diagram.face_of_dart[d2]
-        if f1 == f2:
-            raise DiagramError(f"edge {lab} has the same face on both sides")
-        adjacency[f1].add(f2)
-        adjacency[f2].add(f1)
-    colors[anchor] = BLACK
-    stack = [anchor]
-    while stack:
-        f = stack.pop()
-        for g in sorted(adjacency[f]):
-            want = WHITE if colors[f] == BLACK else BLACK
-            if colors[g] is None:
-                colors[g] = want
-                stack.append(g)
-            elif colors[g] != want:
-                raise DiagramError("face adjacency graph is not 2-colorable")
-    if any(c is None for c in colors):
-        raise DiagramError("coloring did not reach every face; diagram disconnected?")
-    return Coloring(tuple(colors))  # type: ignore[arg-type]
+    coloring = diagram.coloring
+    if black_face is None:
+        return coloring
+    if not 0 <= black_face < len(coloring.colors):
+        raise DiagramError(f"face {black_face} is not a face of the diagram")
+    return coloring if coloring.colors[black_face] == BLACK else coloring.swapped()
 
 
 def edge_alternation(diagram: RotationSystem) -> Mapping[int, bool]:
@@ -586,20 +594,14 @@ def crossing_signs(diagram: PlanarDiagram, coloring: Coloring | None = None) -> 
     """Sign of each crossing relative to the checkerboard coloring.
 
     A crossing is +1 exactly when its two corners at slots (0,1) and (2,3)
-    lie in black faces. Swapping the coloring anchor negates every sign.
+    lie in black faces. Swapping the coloring negates every sign; a
+    coloring that is neither checkerboard coloring raises ``DiagramError``.
     """
-    return diagram.signs if coloring is None else _signs(diagram, coloring)
-
-
-def _signs(diagram: PlanarDiagram, coloring: Coloring) -> dict[int, int]:
-    out = {}
-    for c in range(diagram.n):
-        f0 = diagram.face_at_corner(c, 0)
-        f2 = diagram.face_at_corner(c, 2)
-        if coloring.color(f0) != coloring.color(f2):
-            raise DiagramError(f"opposite corners of crossing {c} disagree in color")
-        out[c] = 1 if coloring.color(f0) == BLACK else -1
-    return out
+    if coloring is None or coloring == diagram.coloring:
+        return diagram.signs
+    if coloring != diagram.coloring.swapped():
+        raise DiagramError("coloring is not a checkerboard coloring of the diagram")
+    return MappingProxyType({c: -s for c, s in diagram.signs.items()})
 
 
 def mirror(diagram: PlanarDiagram) -> PlanarDiagram:

@@ -197,7 +197,7 @@ def connect_sum(d1: PlanarDiagram, dart1: int, d2: PlanarDiagram, dart2: int) ->
     joined = surger_darts(union, dart1, 4 * shift_c + dart2)
     if not joined.is_connected:
         raise DiagramError("connected sum came out disconnected")
-    return PlanarDiagram.from_rows(joined.crossings)
+    return joined
 
 
 # -- one genus-reduction step with prime splitting ---------------------------

@@ -11,10 +11,11 @@ are joined by an arc. Following those arcs yields the boundary circles of
 the tangle regions, and with them the cyclic order of each tangle's legs,
 the embedded decomposition graph, and whether a tangle region is a disc.
 
-Within a tangle all crossings have the same checkerboard sign. A slot
-parity count shows an alternating edge always joins crossings of equal
-sign and a channel edge crossings of opposite sign, so adjacent tangles
-alternate in sign and no channel edge returns to its own tangle.
+Within a tangle all crossings have the same checkerboard sign: the signs
+are defined by slot parity (``PlanarDiagram.signs``), an alternating edge
+joining crossings of equal sign and a channel edge crossings of opposite
+sign. So adjacent tangles alternate in sign and no channel edge returns to
+its own tangle.
 
 Both low-genus classifiers read one object, a chain of 2-tangles: disc
 tangles of valence two whose legs split into two rotation-adjacent
@@ -39,7 +40,6 @@ from .pdcore import (
     Refused,
     _crossing_classes,
     checkerboard,
-    crossing_signs,
     edge_alternation,
     is_prime,
 )
@@ -141,13 +141,8 @@ def decompose(diagram: PlanarDiagram) -> TangleDecomposition:
     alt = edge_alternation(diagram)
     links = ((d1 >> 2, d2 >> 2) for lab, (d1, d2) in diagram.edge_darts.items() if alt[lab])
     crossing_sets = [tuple(g) for g in _crossing_classes(diagram.n, links)]
-    signs = crossing_signs(diagram)
-    tangle_of_crossing = {}
-    for tid, crossings in enumerate(crossing_sets):
-        if len({signs[c] for c in crossings}) != 1:
-            raise DiagramError(f"tangle {crossings} mixes crossing signs")
-        for c in crossings:
-            tangle_of_crossing[c] = tid
+    signs = diagram.signs
+    tangle_of_crossing = {c: tid for tid, crossings in enumerate(crossing_sets) for c in crossings}
 
     if all(alt.values()):
         whole = Tangle(0, crossing_sets[0], signs[0], ())
@@ -852,7 +847,6 @@ def gen_genus2(recipe: Genus2Recipe) -> PlanarDiagram:
     result, _ = surgery.surger_arc(current, *target)
     if not result.is_connected:
         raise DiagramError("recipe produced a disconnected diagram")
-    result = PlanarDiagram.from_rows(result.crossings)
     g = turaev_genus(result)
     if g != 2:
         raise DiagramError(f"recipe produced genus {g}, not 2")

@@ -368,6 +368,49 @@ def genus_by_edge_circles(diagram):
     return (diagram.n + 2 - na - nb) // 2
 
 
+def checkerboard_by_face_adjacency(diagram, anchor=None):
+    """The checkerboard coloring with face ``anchor`` black (by default
+    the face at corner 0 of crossing 0), by a search over the face
+    adjacency sets, and the crossing signs read off two corners per
+    crossing: +1 when the corners at slots (0,1) and (2,3) are black.
+
+    The reference for ``PlanarDiagram.signs``, which propagates the signs
+    over ``alpha`` by slot parity and reads the coloring off them."""
+    from turaev.pdcore import BLACK, WHITE, DiagramError
+
+    faces, face_of_dart = faces_by_sigma_walk(diagram)
+    if anchor is None:
+        anchor = face_of_dart[1]
+    adjacency = [set() for _ in faces]
+    for lab, (d1, d2) in edge_darts_by_label(diagram).items():
+        f1, f2 = face_of_dart[d1], face_of_dart[d2]
+        if f1 == f2:
+            raise DiagramError(f"edge {lab} has the same face on both sides")
+        adjacency[f1].add(f2)
+        adjacency[f2].add(f1)
+    colors = [None] * len(faces)
+    colors[anchor] = BLACK
+    stack = [anchor]
+    while stack:
+        f = stack.pop()
+        want = WHITE if colors[f] == BLACK else BLACK
+        for g in sorted(adjacency[f]):
+            if colors[g] is None:
+                colors[g] = want
+                stack.append(g)
+            elif colors[g] != want:
+                raise DiagramError("face adjacency graph is not 2-colorable")
+    if None in colors:
+        raise DiagramError("coloring did not reach every face; diagram disconnected?")
+    signs = {}
+    for c in range(diagram.n):
+        corner01, corner23 = colors[face_of_dart[4 * c + 1]], colors[face_of_dart[4 * c + 3]]
+        if corner01 != corner23:
+            raise DiagramError(f"opposite corners of crossing {c} disagree in color")
+        signs[c] = 1 if corner01 == BLACK else -1
+    return tuple(colors), signs
+
+
 def validate_by_reference(diagram, *, planar=True, allow_disconnected=False):
     """The checks of ``validate`` in their order and with their messages,
     on the kernels above: the row widths, label multiplicity, connectivity,

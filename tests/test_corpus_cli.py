@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import weakref
@@ -344,6 +345,47 @@ class TestCliBatch:
             {"refused": "outside the contract"},
             {"length": 4},
         ]
+
+    @pytest.mark.parametrize("jobs,expected", [(5000, 3), (2, 2), (1, None)])
+    def test_pool_capped_at_readable_files(self, monkeypatch, fixture_file, jobs, expected):
+        texts = ["ok", "fail", "refuse"]
+        paths = [fixture_file(f"{k}.txt", t) for k, t in enumerate(texts)]
+        paths.insert(1, str(Path(paths[0]).parent / "missing.txt"))
+        pools = []
+
+        class InProcessPool:
+            """Records max_workers and runs each task at submit time."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        results = cli._map_files(paths, _answer_or_raise, jobs)
+        assert pools == ([] if expected is None else [expected])
+        assert [data for _, data in results][2:] == [{"error": "broken input"}, {"refused": "outside the contract"}]
+        assert "error" in results[1][1] and results[0][1] == {"length": 2}
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_must_be_positive(self, capsys, fixture_file, jobs):
+        path = fixture_file("t.pd", fixtures.trefoil().to_pd_text())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["info", "--jobs", jobs, path])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 # sha256 of what each subcommand prints over the named fixtures, written

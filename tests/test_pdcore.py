@@ -108,6 +108,42 @@ class TestCheckerboard:
             other = checkerboard(d, black_face=anchor)
             assert other.colors in (base.colors, base.swapped().colors)
 
+    def test_anchor_outside_faces_rejected(self):
+        d = parse_pd(PSEUDOTREF)
+        for anchor in (-1, len(d.faces)):
+            with pytest.raises(DiagramError, match="is not a face"):
+                checkerboard(d, black_face=anchor)
+
+    def test_matches_face_adjacency_oracle(self, small_exhaustive_rows):
+        """Signs by slot parity and the coloring read off them against the
+        face-adjacency search, for every face anchor, on all classes of up
+        to 4 crossings, 200 seeded random diagrams and their mirrors."""
+        from turaev import corpus
+
+        rows = list(small_exhaustive_rows) + [d.crossings for d in corpus.random_corpus(20261020, 200, 12)]
+        checked = 0
+        for r in rows:
+            d = PlanarDiagram.from_rows(r)
+            for x in (d, mirror(d)):
+                colors, signs = oracles.checkerboard_by_face_adjacency(x)
+                assert x.coloring.colors == colors, x.crossings
+                assert dict(x.signs) == signs, x.crossings
+                for anchor in range(len(x.faces)):
+                    anchored = checkerboard(x, black_face=anchor)
+                    colors, signs = oracles.checkerboard_by_face_adjacency(x, anchor)
+                    assert anchored.colors == colors, (x.crossings, anchor)
+                    assert anchored in (x.coloring, x.coloring.swapped())
+                    assert dict(crossing_signs(x, anchored)) == signs, (x.crossings, anchor)
+                checked += 1
+        assert checked == 2 * (len(small_exhaustive_rows) + 200)
+
+    def test_disconnected_has_no_checkerboard_facts(self):
+        d = PlanarDiagram.from_rows([(1, 1, 2, 2), (3, 3, 4, 4)], allow_disconnected=True)
+        with pytest.raises(DiagramError, match="did not reach every crossing"):
+            d.signs
+        with pytest.raises(DiagramError, match="did not reach every crossing"):
+            d.coloring
+
 
 class TestAlternation:
     def test_matches_slot_parity_oracle(self):
@@ -158,6 +194,12 @@ class TestSigns:
         signs = crossing_signs(d)
         swapped = crossing_signs(d, checkerboard(d).swapped())
         assert all(swapped[c] == -signs[c] for c in range(d.n))
+
+    def test_non_checkerboard_coloring_rejected(self):
+        d = parse_pd(PSEUDOTREF)
+        for bogus in ((BLACK,) * len(d.faces), checkerboard(d).colors[:-1], ()):
+            with pytest.raises(DiagramError, match="not a checkerboard coloring"):
+                crossing_signs(d, pdcore.Coloring(bogus))
 
 
 class TestComposite:
