@@ -32,9 +32,9 @@ signs, coloring, composite circles) the same way; one more search over
 ``alpha`` flips the checkerboard sign across each non-alternating edge,
 and the coloring is read off the signs.
 
-Text format: whitespace-separated terms ``X[a,b,c,d]`` with positive
+Text format: whitespace-separated terms ``X[a,b,c,d]`` with non-negative
 integer edge labels; the order of terms is the crossing index. JSON mirror:
-``{"crossings": [[a,b,c,d], ...]}`` with JSON integer labels.
+``{"crossings": [[a,b,c,d], ...]}`` with non-negative JSON integer labels.
 """
 
 from __future__ import annotations
@@ -528,6 +528,8 @@ def read_rows(text: str) -> list[tuple[int, ...]]:
         for row in rows:
             if not all(type(x) is int for x in row):
                 raise ParseError(f"crossing {row!r} has a label that is not an integer")
+            if any(x < 0 for x in row):
+                raise ParseError(f"crossing {row!r} has a negative label")
         return [tuple(row) for row in rows]
     rows = []
     pos = 0
@@ -612,6 +614,8 @@ def mirror(diagram: PlanarDiagram) -> PlanarDiagram:
 
 def switch_crossing(diagram: PlanarDiagram, c: int) -> PlanarDiagram:
     """Exchange over and under strands at one crossing only."""
+    if not 0 <= c < diagram.n:
+        raise DiagramError(f"crossing {c} is not a crossing of the diagram")
     rows = list(diagram.crossings)
     a, b, cc, d = rows[c]
     rows[c] = (b, cc, d, a)
@@ -780,7 +784,15 @@ def relabel(
     rotations: Sequence[int],
     edge_map: dict[int, int] | None = None,
 ) -> PlanarDiagram:
-    """Apply an explicit isomorphism; rotations must be even per crossing."""
+    """Apply an explicit isomorphism: crossing c moves to
+    ``crossing_perm[c]``, rotated by ``rotations[c]`` slots, which must be
+    even, and ``edge_map`` renames every label when given."""
+    if sorted(crossing_perm) != list(range(diagram.n)):
+        raise DiagramError("crossing_perm must be a permutation of the crossings")
+    if len(rotations) != diagram.n:
+        raise DiagramError("rotations must give one rotation per crossing")
+    if edge_map and not edge_map.keys() >= set(diagram.edge_labels):
+        raise DiagramError("edge_map must rename every edge label")
     if any(r % 2 for r in rotations):
         raise DiagramError("slot rotations must be even to preserve over/under")
     rows: list[tuple[int, int, int, int] | None] = [None] * diagram.n

@@ -13,6 +13,10 @@ non-alternating incidences: the region between the two state-circle arcs
 hugging such a face is an empty bigon, and a face with crossings inside a
 bigon of that kind would exhibit a composite circle. The deterministic
 ``outermost_bigon_arc`` picks among those faces.
+
+Every surgery here, an arc surgery, its inverse, a connected sum and the
+cuts along composite circles, is one splice of a ``_DartTable``: the
+labels and the edge pairing ``alpha`` of the darts, rewired in place.
 """
 
 from __future__ import annotations
@@ -54,8 +58,6 @@ class AttachingEdge:
 
     new_edges: tuple[int, int]
     darts: tuple[tuple[int, int], tuple[int, int]]  # (crossing, slot) of each new edge
-    cut_edges: tuple[int, int]
-    cut_face: int
 
 
 def find_cutting_arcs(diagram: PlanarDiagram) -> tuple[CuttingArc, ...]:
@@ -128,24 +130,12 @@ def surger_arc(
     its position joins the start of the second edge, and vice versa. The
     arc need not be a cutting arc. The result can be disconnected.
     """
+    if not 0 <= face < len(diagram.faces):
+        raise DiagramError(f"face {face} is not a face of the diagram")
     walk = diagram.faces[face].darts
     if pos1 == pos2 or not (0 <= pos1 < len(walk)) or not (0 <= pos2 < len(walk)):
         raise DiagramError("arc positions must be two distinct boundary positions")
-    u1, u2 = walk[pos1], walk[pos2]
-    e1, e2 = diagram.label(u1), diagram.label(u2)
-    if e1 == e2:
-        raise DiagramError("arc endpoints lie on the same edge")
-    result = surger_darts(diagram, u1, u2)
-    a1, a2 = diagram.alpha[u1], diagram.alpha[u2]
-    fx = max(diagram.edge_labels) + 1
-    fy = fx + 1
-    attaching = AttachingEdge(
-        (fx, fy),
-        ((a1 >> 2, a1 & 3), (a2 >> 2, a2 & 3)),
-        (e1, e2),
-        face,
-    )
-    return result, attaching
+    return _surgered(diagram, walk[pos1], walk[pos2])
 
 
 def surger_cutting_arc(diagram: PlanarDiagram, arc: CuttingArc) -> tuple[PlanarDiagram, AttachingEdge]:
@@ -155,36 +145,12 @@ def surger_cutting_arc(diagram: PlanarDiagram, arc: CuttingArc) -> tuple[PlanarD
 def inverse_surgery(diagram: PlanarDiagram, attaching: AttachingEdge) -> PlanarDiagram:
     """Surger along the attaching edge, restoring the pre-surgery diagram
     up to relabeling."""
-    (c1, s1), (c2, s2) = attaching.darts
-    d1 = 4 * c1 + s1
-    d2 = 4 * c2 + s2
+    d1, d2 = (4 * c + s for c, s in attaching.darts)
     if diagram.label(d1) != attaching.new_edges[0] or diagram.label(d2) != attaching.new_edges[1]:
         raise DiagramError("attaching-edge record does not match this diagram")
-    f1 = diagram.face_of_dart[d1]
-    f2 = diagram.face_of_dart[d2]
-    if f1 != f2:
+    if diagram.face_of_dart[d1] != diagram.face_of_dart[d2]:
         raise DiagramError("attaching edges no longer share the merged face")
-    walk = diagram.faces[f1].darts
-    result, _ = surger_arc(diagram, f1, walk.index(d1), walk.index(d2))
-    return result
-
-
-def surger_darts(diagram: PlanarDiagram, d1: int, d2: int) -> PlanarDiagram:
-    """Cut the edges of darts d1, d2 and rejoin head(d1)-tail(d2),
-    tail(d1)-head(d2). The raw splice behind arc surgery; callers must
-    ensure the geometric arc exists (same face, or separate components)."""
-    e1, e2 = diagram.label(d1), diagram.label(d2)
-    if e1 == e2:
-        raise DiagramError("cannot splice an edge with itself")
-    a1, a2 = diagram.alpha[d1], diagram.alpha[d2]
-    fx = max(diagram.edge_labels) + 1
-    fy = fx + 1
-    rows = [list(row) for row in diagram.crossings]
-    rows[a1 >> 2][a1 & 3] = fx
-    rows[d2 >> 2][d2 & 3] = fx
-    rows[d1 >> 2][d1 & 3] = fy
-    rows[a2 >> 2][a2 & 3] = fy
-    return PlanarDiagram.from_rows(rows, allow_disconnected=True)
+    return _surgered(diagram, d1, d2)[0]
 
 
 def connect_sum(d1: PlanarDiagram, dart1: int, d2: PlanarDiagram, dart2: int) -> PlanarDiagram:
@@ -194,10 +160,18 @@ def connect_sum(d1: PlanarDiagram, dart1: int, d2: PlanarDiagram, dart2: int) ->
     rows = [list(row) for row in d1.crossings]
     rows += [[x + shift_e for x in row] for row in d2.crossings]
     union = PlanarDiagram.from_rows(rows, allow_disconnected=True)
-    joined = surger_darts(union, dart1, 4 * shift_c + dart2)
+    joined, _ = _surgered(union, dart1, 4 * shift_c + dart2)
     if not joined.is_connected:
         raise DiagramError("connected sum came out disconnected")
     return joined
+
+
+def _surgered(diagram: PlanarDiagram, u1: int, u2: int) -> tuple[PlanarDiagram, AttachingEdge]:
+    """The diagram spliced at darts u1 and u2, possibly disconnected, and
+    the attaching record of the splice."""
+    table = _DartTable(diagram)
+    attaching = table.splice(table.everything, max(diagram.edge_labels), u1, u2)
+    return table.diagram(table.everything, allow_disconnected=True), attaching
 
 
 # -- one genus-reduction step with prime splitting ---------------------------
@@ -208,10 +182,10 @@ class SplitStep:
     """One cutting-arc surgery followed by splitting along every composite
     circle of the intermediate diagram.
 
-    The cutting arc is taken in a black face (the coloring is re-anchored
-    to arrange that). The intermediate composite circles admit a total
-    nesting order, recorded as ``concentric_witness``: per circle, the
-    crossing side chosen so the sides form an ascending chain.
+    The merged face of the cutting-arc surgery is white, and each circle
+    is cut in its black face. The intermediate composite circles admit a
+    total nesting order, recorded as ``concentric_witness``: per circle,
+    the crossing side chosen so the sides form an ascending chain.
     """
 
     input: PlanarDiagram
@@ -296,16 +270,15 @@ class _DartTable:
     """The labels and edge pairing of one diagram's darts, surgered in place.
 
     A piece is a set of crossings held as a dart bitmask (four bits per
-    crossing). The table numbers a piece's crossings and faces as
-    ``PlanarDiagram.from_rows`` would number the piece's own rows: crossings
-    in ascending order, faces by their smallest dart, whose bits
-    ``face_min`` keeps.
+    crossing). The table numbers a piece's crossings as
+    ``PlanarDiagram.from_rows`` would number the piece's own rows, in
+    ascending order. ``splice`` is the one place where a surgery rewires
+    darts.
     """
 
     def __init__(self, diagram: PlanarDiagram):
         self.labels = list(diagram.flat_labels)
         self.alpha = list(diagram.alpha)
-        self.face_min = sum(1 << f.darts[0] for f in diagram.faces)
         self.everything = (1 << diagram.n_darts) - 1
 
     def _walk(self, d: int) -> list[int]:
@@ -320,9 +293,24 @@ class _DartTable:
             if x == d:
                 return walk
 
-    def cut(self, piece: int, side: int, top: int, da: int, db: int) -> tuple[AttachingEdge, list[tuple[int, int]]]:
-        """Surger ``piece`` along the arc joining the edges of darts da and
-        db inside the face of da, as ``surger_arc`` would on the piece's
+    def splice(self, piece: int, top: int, u1: int, u2: int) -> AttachingEdge:
+        """Cut the edges of darts u1 and u2 and rejoin alpha(u1) to u2 as
+        edge ``top + 1`` and u1 to alpha(u2) as edge ``top + 2``, where
+        ``top`` is the largest label of ``piece``.
+
+        Returns the attaching record in the piece's numbering.
+        """
+        labels, alpha = self.labels, self.alpha
+        a1, a2 = alpha[u1], alpha[u2]
+        fx, fy = top + 1, top + 2
+        alpha[a1], alpha[u2], alpha[u1], alpha[a2] = u2, a1, a2, u1
+        labels[a1] = labels[u2] = fx
+        labels[u1] = labels[a2] = fy
+        return AttachingEdge((fx, fy), (self._at(piece, a1), self._at(piece, a2)))
+
+    def cut(self, piece: int, side: int, top: int, u1: int, u2: int) -> tuple[AttachingEdge, list[tuple[int, int]]]:
+        """Surger ``piece`` along the arc joining the edges of darts u1 and
+        u2 inside the face of u1, as ``surger_arc`` would on the piece's
         own diagram whose largest label is ``top``, and split it into
         ``piece & side`` and the rest.
 
@@ -330,33 +318,22 @@ class _DartTable:
         parts with their largest labels, the part holding the piece's
         smallest crossing first.
         """
-        labels, alpha = self.labels, self.alpha
-        walk = self._walk(da)
-        if db not in walk:
+        walk = self._walk(u1)
+        if u2 not in walk:
             raise DiagramError("composite circle edges not found on its black face")
         # surger_arc orders the darts by their position in the face walk,
         # which starts at the face's smallest dart.
-        m = min(walk)
-        start = walk.index(m)
-        if (walk.index(db) - start) % len(walk) < -start % len(walk):
-            da, db = db, da
-        u1, u2 = da, db
-        a1, a2 = alpha[u1], alpha[u2]
-        fx, fy = top + 1, top + 2
-        face = (self.face_min & piece & ((1 << m) - 1)).bit_count()
-        attaching = AttachingEdge((fx, fy), (self._at(piece, a1), self._at(piece, a2)), (labels[u1], labels[u2]), face)
-        # The new edges join a1 to u2 and u1 to a2; each must stay on its
-        # side of the circle, which every cut edge crosses.
+        start = walk.index(min(walk))
+        if (walk.index(u2) - start) % len(walk) < -start % len(walk):
+            u1, u2 = u2, u1
+        # The new edges join alpha(u1) to u2 and u1 to alpha(u2); each must
+        # stay on its side of the circle, which every cut edge crosses.
         inner, outer = piece & side, piece & ~side
-        in_u1, in_u2, in_a1, in_a2 = (inner >> d & 1 for d in (u1, u2, a1, a2))
+        in_u1, in_u2, in_a1, in_a2 = (inner >> d & 1 for d in (u1, u2, self.alpha[u1], self.alpha[u2]))
         if not (inner and outer and in_u1 == in_a2 != in_a1 == in_u2):
             raise DiagramError("surgery along a composite circle must disconnect")
-        self.face_min &= ~(1 << m | 1 << min(self._walk(a1)))
-        alpha[a1], alpha[u2], alpha[u1], alpha[a2] = u2, a1, a2, u1
-        labels[a1] = labels[u2] = fx
-        labels[u1] = labels[a2] = fy
-        for d in (u1, u2, a1, a2):
-            self.face_min |= 1 << min(self._walk(d))
+        attaching = self.splice(piece, top, u1, u2)
+        fx, fy = attaching.new_edges
         parts = [(inner, fy if in_u1 else fx), (outer, fx if in_u1 else fy)]
         if not inner & piece & -piece:  # piece & -piece: its smallest dart
             parts.reverse()
@@ -366,14 +343,14 @@ class _DartTable:
         """(crossing, slot) of dart d in the piece's own numbering."""
         return (piece & ((1 << (d & ~3)) - 1)).bit_count() >> 2, d & 3
 
-    def diagram(self, piece: int) -> PlanarDiagram:
+    def diagram(self, piece: int, *, allow_disconnected: bool = False) -> PlanarDiagram:
         labels = self.labels
         rows = []
         while piece:  # the piece's crossings in ascending order, four dart bits each
             d = (piece & -piece).bit_length() - 1
             rows.append(labels[d : d + 4])
             piece &= ~(15 << d)
-        return PlanarDiagram.from_rows(rows)
+        return PlanarDiagram.from_rows(rows, allow_disconnected=allow_disconnected)
 
 
 def split_step(diagram: PlanarDiagram) -> SplitStep:
@@ -384,22 +361,28 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
     black arc of each leaves prime components whose genera sum to one less
     than the input genus. All of that is asserted, not assumed.
 
-    The circles are cut one piece at a time, last piece first and in each
-    piece along its circle of smallest edge pair, and every record is
-    written in the numbering of the piece it cuts. A cut keeps the color
-    of every corner, so one coloring of the intermediate serves all
-    pieces. The composite circles of a piece are the uncut circles of the
-    intermediate inside it: concentric circles lie in distinct face pairs,
-    so each lies on one side of another, and a two-edge cut of a piece
-    through an edge made by a cut would put three edges into one face
-    pair of the intermediate. So the pieces left without circles are
-    prime. The cuts run over one dart table, and only those final pieces
-    are built as diagrams.
+    One dart table of the input carries every surgery of the step: the
+    cutting arc first, then the circles, one piece at a time, last piece
+    first and in each piece along its circle of smallest edge pair. Every
+    record is written in the numbering of the piece it cuts. A surgery
+    keeps the color of every corner, so the input's checkerboard signs
+    color the intermediate and all pieces: the face right of dart d is
+    black iff ``(signs[d >> 2] > 0) == bool(d & 1)``, and the merged face
+    of the cutting arc is taken white. The composite circles of a piece
+    are the uncut circles of the intermediate inside it: concentric
+    circles lie in distinct face pairs, so each lies on one side of
+    another, and a two-edge cut of a piece through an edge made by a cut
+    would put three edges into one face pair of the intermediate. So the
+    pieces left without circles are prime. Only the intermediate and
+    those final pieces are built as diagrams.
     """
     _require_surgery_input(diagram)
     g = diagram.genus
     arc = outermost_bigon_arc(diagram)
-    intermediate, attaching = surger_cutting_arc(diagram, arc)
+    table = _DartTable(diagram)
+    walk = diagram.faces[arc.face].darts
+    attaching = table.splice(table.everything, max(diagram.edge_labels), *(walk[p] for p in arc.positions))
+    intermediate = table.diagram(table.everything, allow_disconnected=True)
     if not intermediate.is_connected:
         raise DiagramError("cutting-arc surgery of a prime diagram must stay connected")
     (na, nb), (ia, ib) = diagram.circle_counts, intermediate.circle_counts
@@ -416,13 +399,8 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
     if not circles:
         finals.append(intermediate)
     else:
-        # Induced coloring: the merged face (right of the first attaching
-        # dart) is white.
-        c, s = attaching.darts[0]
-        col, fod = intermediate.coloring, intermediate.face_of_dart
-        white = col.color(fod[4 * c + s])
-        black = [col.color(f) != white for f in fod]
-        table = _DartTable(intermediate)
+        signs, edge_darts = diagram.signs, intermediate.edge_darts
+        c, s = attaching.darts[0]  # the merged dart
         pending = [(table.everything, max(intermediate.edge_labels), circles)]
         while pending:
             piece, top, cur_circles = pending.pop()
@@ -430,11 +408,15 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
                 finals.append(table.diagram(piece))
                 continue
             circle = cur_circles[0]
-            da, db = (_black_dart(intermediate, black, e) for e in circle.edges)
+            # Of each edge's two darts, the one whose face is black: a face
+            # has the merged face's color iff its dart's crossing sign and
+            # slot parity both agree with the merged dart's, or both differ.
+            darts = (edge_darts[e] for e in circle.edges)
+            da, db = (d if (signs[d >> 2] == signs[c]) == bool((d ^ s) & 1) else a for d, a in darts)
             att, parts = table.cut(piece, _dart_mask(circle.sides[0]), top, da, db)
             used_attachings.append(att)
             for part, part_top in parts:
-                rest = tuple(cc for cc in cur_circles[1:] if part >> intermediate.edge_darts[cc.edges[0]][0] & 1)
+                rest = tuple(cc for cc in cur_circles[1:] if part >> edge_darts[cc.edges[0]][0] & 1)
                 pending.append((part, part_top, rest))
     finals.sort(key=lambda d: d.crossings)
     total = sum(turaev_genus(f) for f in finals)
@@ -450,16 +432,6 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
         tuple(finals),
         tuple(used_attachings),
     )
-
-
-def _black_dart(diagram: PlanarDiagram, black: list[bool], edge: int) -> int:
-    """The dart of ``edge`` whose face is black."""
-    d1, d2 = diagram.edge_darts[edge]
-    if black[d1]:
-        return d1
-    if black[d2]:
-        return d2
-    raise DiagramError("composite circle has no black face")
 
 
 # -- the reduction ladder -----------------------------------------------------

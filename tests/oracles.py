@@ -503,6 +503,35 @@ def certify_concentric_by_search(circles):
     raise DiagramError("composite circles are not concentric")
 
 
+def surger_arc_by_rows(diagram, face, pos1, pos2):
+    """``surgery.surger_arc`` by copying the PD rows and relabeling four
+    slots, as the library did before it spliced a dart table.
+
+    The darts at the two positions of the face walk are d1 and d2; the
+    slots of alpha(d1) and d2 get the new label m + 1, those of d1 and
+    alpha(d2) get m + 2, where m is the largest label. Returns the new rows
+    and the attaching record as (new labels, (crossing, slot) of alpha(d1)
+    and of alpha(d2)).
+    """
+    from turaev.pdcore import DiagramError
+
+    faces, _ = faces_by_sigma_walk(diagram)
+    alpha = alpha_by_label_lists(diagram)
+    walk = faces[face].darts
+    d1, d2 = walk[pos1], walk[pos2]
+    if diagram.label(d1) == diagram.label(d2):
+        raise DiagramError("arc endpoints lie on the same edge")
+    a1, a2 = alpha[d1], alpha[d2]
+    fx = max(max(row) for row in diagram.crossings) + 1
+    fy = fx + 1
+    rows = [list(row) for row in diagram.crossings]
+    rows[a1 >> 2][a1 & 3] = fx
+    rows[d2 >> 2][d2 & 3] = fx
+    rows[d1 >> 2][d1 & 3] = fy
+    rows[a2 >> 2][a2 & 3] = fy
+    return [tuple(row) for row in rows], ((fx, fy), ((a1 >> 2, a1 & 3), (a2 >> 2, a2 & 3)))
+
+
 def split_by_sequential_peel(intermediate, attaching):
     """Components and attaching records of ``surgery.split_step`` by
     peeling one composite circle at a time.

@@ -445,6 +445,7 @@ class TestCliMalformedJson:
         "string.json": '{"crossings": [["a", 1, 2, 2]]}',
         "float.json": '{"crossings": [[1, 1, 2, 2.5]]}',
         "bool.json": '{"crossings": [[true, 1, 2, 2]]}',
+        "negative.json": '{"crossings": [[-1, 2, -2, -1], [2, -2, 3, 3]]}',
     }
 
     @pytest.mark.parametrize("command", ["info", "check", "check --from-turaev"])

@@ -249,6 +249,11 @@ class TestMirror:
             parse_pd(PSEUDOTREF), switch_crossing(parse_pd(TREFOIL), 0)
         )
 
+    @pytest.mark.parametrize("c", [-1, 3, 99])
+    def test_switch_outside_crossings_rejected(self, c):
+        with pytest.raises(DiagramError, match="not a crossing"):
+            switch_crossing(parse_pd(TREFOIL), c)
+
 
 class TestCanonical:
     def test_relabel_invariance(self, small_exhaustive_rows):
@@ -273,6 +278,20 @@ class TestCanonical:
     def test_odd_rotation_rejected(self):
         with pytest.raises(DiagramError):
             relabel(parse_pd(KINK), [0], [1])
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, -1], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
+    def test_non_permutation_rejected(self, perm):
+        with pytest.raises(DiagramError, match="permutation"):
+            relabel(parse_pd(TREFOIL), perm, [0, 0, 0])
+
+    @pytest.mark.parametrize("rots", [[0, 0], [0, 0, 0, 0]])
+    def test_rotation_count_mismatch_rejected(self, rots):
+        with pytest.raises(DiagramError, match="one rotation per crossing"):
+            relabel(parse_pd(TREFOIL), [2, 0, 1], rots)
+
+    def test_partial_edge_map_rejected(self):
+        with pytest.raises(DiagramError, match="every edge label"):
+            relabel(parse_pd(TREFOIL), [0, 1, 2], [0, 0, 0], {1: 2, 2: 1})
 
 
 class TestCachedFacts:
@@ -332,6 +351,8 @@ class TestReadRows:
             '{"crossings": [["a", 1, 2, 2]]}',
             '{"crossings": [[1, 1, 2, 2.5]]}',
             '{"crossings": [[true, 1, 2, 2]]}',
+            '{"crossings": [[-1, 2, -2, -1], [2, -2, 3, 3]]}',
+            '{"crossings": [[0, 0, -1, -1]]}',
             "[[1, 1, 2, 2]]",
             "X[1,1,2,2] junk",
             "   ",
@@ -350,6 +371,11 @@ class TestReadRows:
     def test_text_and_json_agree(self):
         d = parse_pd(TREFOIL)
         assert pdcore.read_rows(d.to_json()) == pdcore.read_rows(TREFOIL) == list(d.crossings)
+
+    def test_label_zero_accepted_by_both_grammars(self):
+        d = parse_pd("X[0,0,1,1]")
+        assert parse_pd(d.to_json()) == d
+        assert parse_pd(d.to_pd_text()) == d
 
 
 def _outcome(build, rows):

@@ -135,6 +135,37 @@ class TestSurgerArc:
         with pytest.raises(DiagramError):
             surger_arc(kink, 0, 0, 99)
 
+    @pytest.mark.parametrize("face", [-1, 3, 99])
+    def test_face_outside_diagram_rejected(self, face):
+        # The kink has three faces; -1 must not pick the last one.
+        kink = parse_pd("X[1,1,2,2]")
+        with pytest.raises(DiagramError, match="not a face"):
+            surger_arc(kink, face, 0, 1)
+
+    def test_matches_row_splice_oracle(self, small_exhaustive_rows):
+        """Every arc between two positions of every face, in both orders,
+        of the exhaustive(4) classes and seeded random primes: the rows and
+        the attaching record match the row splice. A face never meets one
+        edge twice, since a 4-valent graph has no bridge."""
+        diagrams = [PlanarDiagram.from_rows(rows) for rows in small_exhaustive_rows]
+        diagrams += random_prime_diagrams(20261020, 40, 12)
+        surgeries = disconnected = 0
+        for d in diagrams:
+            for face in d.faces:
+                k = len(face.darts)
+                for i in range(k):
+                    for j in range(k):
+                        if i == j:
+                            continue
+                        result, att = surger_arc(d, face.id, i, j)
+                        rows, record = oracles.surger_arc_by_rows(d, face.id, i, j)
+                        assert list(result.crossings) == rows, (d.crossings, face.id, i, j)
+                        assert (att.new_edges, att.darts) == record
+                        surgeries += 1
+                        disconnected += not result.is_connected
+        assert surgeries > 10000
+        assert disconnected > 1000
+
 
 class TestConnectSum:
     def test_connsum_fixture(self):
@@ -319,6 +350,8 @@ def assert_split_matches_peel(d):
     components, attachings = oracles.split_by_sequential_peel(step.intermediate, step.attaching)
     assert [c.crossings for c in step.components] == [c.crossings for c in components]
     assert step.component_attachings == attachings
+    # The surgery keeps every corner's color, so the input's signs serve.
+    assert step.intermediate.signs == step.input.signs
     return step
 
 
