@@ -182,6 +182,16 @@ def _crossing_classes(n: int, links: Iterable[tuple[int, int]]) -> list[list[int
     return sorted(groups.values())
 
 
+def _genus_of_counts(n: int, na: int, nb: int) -> int:
+    """(n + 2 - na - nb) / 2, the Turaev genus of a connected diagram with
+    n crossings, na all-A and nb all-B circles; raises DiagramError when
+    that is not a non-negative integer."""
+    num = n + 2 - na - nb
+    if num < 0 or num % 2:
+        raise DiagramError(f"impossible circle counts |s_A|={na} |s_B|={nb}")
+    return num // 2
+
+
 def _edge_circles(alpha: Sequence[int], labels: Sequence[int]) -> tuple[Mapping[int, int], Mapping[int, int]]:
     """Per smoothing mask 1 and 3: label -> id of the orbit of
     ``d -> alpha[d] ^ mask`` through the edge, ids in the order of the
@@ -451,11 +461,7 @@ class PlanarDiagram(RotationSystem):
         read off ``circle_counts``."""
         if not self.is_connected:
             raise DiagramError("Turaev genus is defined for connected diagrams")
-        na, nb = self.circle_counts
-        num = self.n + 2 - na - nb
-        if num < 0 or num % 2:
-            raise DiagramError(f"impossible circle counts |s_A|={na} |s_B|={nb}")
-        return num // 2
+        return _genus_of_counts(self.n, *self.circle_counts)
 
     @_cached_fact
     def signs(self) -> Mapping[int, int]:

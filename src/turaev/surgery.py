@@ -17,18 +17,31 @@ bigon of that kind would exhibit a composite circle. The deterministic
 Every surgery here, an arc surgery, its inverse, a connected sum and the
 cuts along composite circles, is one splice of a ``_DartTable``: the
 labels and the edge pairing ``alpha`` of the darts, rewired in place.
+
+The split step after a cutting-arc surgery reads its prime pieces off
+the intermediate diagram's blocks, the crossing classes left when the
+two edges of every composite circle are deleted. The blocks must form a
+path, neighbours joined by one circle, which is the concentricity check;
+each cut is checked to disconnect its piece, and the final pieces are
+checked in one pass over the dart table instead of one ``validate``
+each. ``SplitStep.intermediate_circles`` and ``concentric_witness`` are
+computed only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate, combinations
+from operator import or_
 
 from .pdcore import (
     CompositeCircle,
     DiagramError,
     PlanarDiagram,
     Refused,
+    _crossing_classes,
+    _genus_of_counts,
     composite_circles,
     is_alternating,
     is_prime,
@@ -145,6 +158,8 @@ def surger_cutting_arc(diagram: PlanarDiagram, arc: CuttingArc) -> tuple[PlanarD
 def inverse_surgery(diagram: PlanarDiagram, attaching: AttachingEdge) -> PlanarDiagram:
     """Surger along the attaching edge, restoring the pre-surgery diagram
     up to relabeling."""
+    if not all(0 <= c < diagram.n and 0 <= s < 4 for c, s in attaching.darts):
+        raise DiagramError("attaching-edge record does not match this diagram")
     d1, d2 = (4 * c + s for c, s in attaching.darts)
     if diagram.label(d1) != attaching.new_edges[0] or diagram.label(d2) != attaching.new_edges[1]:
         raise DiagramError("attaching-edge record does not match this diagram")
@@ -154,9 +169,15 @@ def inverse_surgery(diagram: PlanarDiagram, attaching: AttachingEdge) -> PlanarD
 
 
 def connect_sum(d1: PlanarDiagram, dart1: int, d2: PlanarDiagram, dart2: int) -> PlanarDiagram:
-    """Join two diagrams by inverse surgery across one edge of each."""
+    """Join two diagrams by inverse surgery across one edge of each: the
+    edges of dart ``dart1`` of ``d1`` and dart ``dart2`` of ``d2``."""
+    for name, d, dart in (("dart1", d1, dart1), ("dart2", d2, dart2)):
+        if not 0 <= dart < d.n_darts:
+            raise DiagramError(f"{name} {dart} is not a dart of its diagram, which has darts 0..{d.n_darts - 1}")
     shift_c = d1.n
-    shift_e = max(d1.edge_labels)
+    # Shift the second diagram's labels past the first's largest label;
+    # its label 0, when it has one, needs one more.
+    shift_e = max(d1.edge_labels) + (1 if d2.edge_labels[0] == 0 else 0)
     rows = [list(row) for row in d1.crossings]
     rows += [[x + shift_e for x in row] for row in d2.crossings]
     union = PlanarDiagram.from_rows(rows, allow_disconnected=True)
@@ -183,19 +204,28 @@ class SplitStep:
     circle of the intermediate diagram.
 
     The merged face of the cutting-arc surgery is white, and each circle
-    is cut in its black face. The intermediate composite circles admit a
-    total nesting order, recorded as ``concentric_witness``: per circle,
-    the crossing side chosen so the sides form an ascending chain.
+    is cut in its black face. The components are the intermediate's
+    blocks: the crossing classes left when the two edges of every circle
+    are deleted. The circles and their nesting order are computed only
+    when read: ``intermediate_circles`` by ``composite_circles``, and
+    ``concentric_witness`` by ``certify_concentric``, per circle the
+    crossing side chosen so the sides form an ascending chain.
     """
 
     input: PlanarDiagram
     arc: CuttingArc
     intermediate: PlanarDiagram
     attaching: AttachingEdge
-    intermediate_circles: tuple[CompositeCircle, ...]
-    concentric_witness: tuple[tuple[int, ...], ...]
     components: tuple[PlanarDiagram, ...]
     component_attachings: tuple[AttachingEdge, ...]
+
+    @cached_property
+    def intermediate_circles(self) -> tuple[CompositeCircle, ...]:
+        return composite_circles(self.intermediate)
+
+    @cached_property
+    def concentric_witness(self) -> tuple[tuple[int, ...], ...]:
+        return certify_concentric(self.intermediate_circles)
 
     @property
     def genus_sum(self) -> int:
@@ -266,6 +296,69 @@ def _dart_mask(crossings) -> int:
     return mask
 
 
+def _circle_path(diagram: PlanarDiagram) -> tuple[list[list[int]], list[tuple[tuple[int, ...], tuple[int, int]]]]:
+    """The blocks of a connected diagram in path order, and for the j-th
+    link of the path the composite circle joining blocks j and j + 1, as
+    its edge pair and face pair.
+
+    The blocks are the crossing classes left when the edges of every face
+    pair are deleted, as ``composite_circles`` takes them. Every face pair
+    must hold exactly two edges, one circle, and the blocks must form a
+    path whose neighbours are joined by the two edges of one circle. Then
+    the circle between blocks j and j + 1 has blocks 0..j on one side, so
+    the sides nest. Conversely, nested circles leave between two
+    neighbours a region that is one block: a region in two parts would cut
+    one part off the diagram, or put the edges of both circles into one
+    face pair. A face pair of three edges bounds three side-by-side
+    regions. Anything else raises DiagramError.
+    """
+    circles = []
+    for faces, labs in diagram.face_pair_edges.items():
+        if len(labs) != 2:
+            raise DiagramError("composite circles are not concentric")
+        circles.append((labs, faces))
+    ed = diagram.edge_darts
+    cut = {lab for labs, _ in circles for lab in labs}
+    blocks = _crossing_classes(diagram.n, ((d1 >> 2, d2 >> 2) for lab, (d1, d2) in ed.items() if lab not in cut))
+    block_of = [0] * diagram.n
+    for b, group in enumerate(blocks):
+        for c in group:
+            block_of[c] = b
+    ends = [tuple((block_of[ed[lab][0] >> 2], block_of[ed[lab][1] >> 2]) for lab in labs) for labs, _ in circles]
+    block_order, circle_order = _block_path(len(blocks), ends)
+    return [blocks[b] for b in block_order], [circles[i] for i in circle_order]
+
+
+def _block_path(n_blocks: int, ends: list[tuple[tuple[int, int], ...]]) -> tuple[list[int], list[int]]:
+    """The blocks in path order, from the end of smaller id, and the
+    circles in the order they join them, when ``ends[i]``, the blocks at
+    the two ends of each edge of circle i, make the blocks a path whose
+    neighbours are joined by both edges of one circle. The blocks of a
+    connected diagram are joined, so there ``n_blocks`` blocks and one
+    fewer circles, with no block on three circles, are such a path.
+    Raises DiagramError otherwise."""
+    if n_blocks != len(ends) + 1:
+        raise DiagramError("composite circles are not concentric")
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n_blocks)]
+    for i, ((p, q), (r, s)) in enumerate(ends):
+        if p == q or (p, q) not in ((r, s), (s, r)):
+            raise DiagramError("composite circles are not concentric")
+        links[p].append((q, i))
+        links[q].append((p, i))
+    if any(len(x) > 2 for x in links):
+        raise DiagramError("composite circles are not concentric")
+    # Fewer links than twice the blocks: some block is an end.
+    block_order = [next(b for b, x in enumerate(links) if len(x) < 2)]
+    circle_order = [-1]
+    while len(block_order) < n_blocks:
+        onward = [link for link in links[block_order[-1]] if link[1] != circle_order[-1]]
+        if not onward:
+            raise DiagramError("composite circles are not concentric")
+        block_order.append(onward[0][0])
+        circle_order.append(onward[0][1])
+    return block_order, circle_order[1:]
+
+
 class _DartTable:
     """The labels and edge pairing of one diagram's darts, surgered in place.
 
@@ -280,18 +373,6 @@ class _DartTable:
         self.labels = list(diagram.flat_labels)
         self.alpha = list(diagram.alpha)
         self.everything = (1 << diagram.n_darts) - 1
-
-    def _walk(self, d: int) -> list[int]:
-        """The face walk through dart d, following phi = sigma(alpha)."""
-        alpha = self.alpha
-        walk = []
-        x = d
-        while True:
-            walk.append(x)
-            x = alpha[x]
-            x = (x & ~3) | ((x + 1) & 3)
-            if x == d:
-                return walk
 
     def splice(self, piece: int, top: int, u1: int, u2: int) -> AttachingEdge:
         """Cut the edges of darts u1 and u2 and rejoin alpha(u1) to u2 as
@@ -310,22 +391,16 @@ class _DartTable:
 
     def cut(self, piece: int, side: int, top: int, u1: int, u2: int) -> tuple[AttachingEdge, list[tuple[int, int]]]:
         """Surger ``piece`` along the arc joining the edges of darts u1 and
-        u2 inside the face of u1, as ``surger_arc`` would on the piece's
+        u2 inside their common face, as ``surger_arc`` would on the piece's
         own diagram whose largest label is ``top``, and split it into
-        ``piece & side`` and the rest.
+        ``piece & side`` and the rest. ``surger_arc`` orders the darts by
+        their position in the face walk from the face's smallest dart, so
+        u1 must come first there.
 
         Returns the attaching record, in the piece's numbering, and the two
         parts with their largest labels, the part holding the piece's
         smallest crossing first.
         """
-        walk = self._walk(u1)
-        if u2 not in walk:
-            raise DiagramError("composite circle edges not found on its black face")
-        # surger_arc orders the darts by their position in the face walk,
-        # which starts at the face's smallest dart.
-        start = walk.index(min(walk))
-        if (walk.index(u2) - start) % len(walk) < -start % len(walk):
-            u1, u2 = u2, u1
         # The new edges join alpha(u1) to u2 and u1 to alpha(u2); each must
         # stay on its side of the circle, which every cut edge crosses.
         inner, outer = piece & side, piece & ~side
@@ -343,14 +418,66 @@ class _DartTable:
         """(crossing, slot) of dart d in the piece's own numbering."""
         return (piece & ((1 << (d & ~3)) - 1)).bit_count() >> 2, d & 3
 
-    def diagram(self, piece: int, *, allow_disconnected: bool = False) -> PlanarDiagram:
+    def rows(self, piece: int) -> tuple[tuple[int, ...], ...]:
+        """The piece's PD rows, its crossings in ascending order."""
         labels = self.labels
         rows = []
-        while piece:  # the piece's crossings in ascending order, four dart bits each
+        while piece:  # four dart bits per crossing
             d = (piece & -piece).bit_length() - 1
-            rows.append(labels[d : d + 4])
+            rows.append(tuple(labels[d : d + 4]))
             piece &= ~(15 << d)
-        return PlanarDiagram.from_rows(rows, allow_disconnected=allow_disconnected)
+        return tuple(rows)
+
+    def diagram(self, piece: int, *, allow_disconnected: bool = False) -> PlanarDiagram:
+        return PlanarDiagram.from_rows(self.rows(piece), allow_disconnected=allow_disconnected)
+
+    def genera(self, pieces: list[list[int]]) -> list[int]:
+        """The Turaev genus of each piece, given as its crossings, checked
+        on the whole table: the pieces must cover it, each closed under
+        ``alpha``, and every dart must carry its partner's label.
+
+        One walk of the phi orbits gives each piece's face count, which
+        must pass the Euler test V - E + F = 2, and one walk each of the
+        orbits of ``d -> alpha[d] ^ 1`` and ``^ 3`` counts its all-A and
+        all-B circles, two orbits per circle, as ``circle_counts`` does.
+        """
+        labels, alpha = self.labels, self.alpha
+        owner = [0] * (len(alpha) >> 2)
+        for i, piece in enumerate(pieces):
+            for c in piece:
+                owner[c] = i
+        faces = [0] * len(pieces)
+        seen = bytearray(len(alpha))
+        for start in range(len(alpha)):
+            if seen[start]:
+                continue
+            faces[owner[start >> 2]] += 1
+            d = start
+            while not seen[d]:
+                seen[d] = 1
+                a = alpha[d]
+                if labels[a] != labels[d]:
+                    raise DiagramError(f"darts {d} and {a} of one edge carry different labels")
+                d = (a & ~3) | ((a + 1) & 3)
+        orbits = []
+        for mask in (1, 3):
+            count = [0] * len(pieces)
+            seen = bytearray(len(alpha))
+            for start in range(len(alpha)):
+                if seen[start]:
+                    continue
+                count[owner[start >> 2]] += 1
+                d = start
+                while not seen[d]:
+                    seen[d] = 1
+                    d = alpha[d] ^ mask
+            orbits.append(count)
+        genera = []
+        for piece, f, oa, ob in zip(pieces, faces, *orbits):
+            if f != len(piece) + 2:
+                raise DiagramError(f"rotation system is not planar: V-E+F = {f - len(piece)} on a split piece")
+            genera.append(_genus_of_counts(len(piece), oa >> 1, ob >> 1))
+        return genera
 
 
 def split_step(diagram: PlanarDiagram) -> SplitStep:
@@ -361,20 +488,28 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
     black arc of each leaves prime components whose genera sum to one less
     than the input genus. All of that is asserted, not assumed.
 
-    One dart table of the input carries every surgery of the step: the
-    cutting arc first, then the circles, one piece at a time, last piece
-    first and in each piece along its circle of smallest edge pair. Every
-    record is written in the numbering of the piece it cuts. A surgery
-    keeps the color of every corner, so the input's checkerboard signs
-    color the intermediate and all pieces: the face right of dart d is
-    black iff ``(signs[d >> 2] > 0) == bool(d & 1)``, and the merged face
-    of the cutting arc is taken white. The composite circles of a piece
-    are the uncut circles of the intermediate inside it: concentric
-    circles lie in distinct face pairs, so each lies on one side of
-    another, and a two-edge cut of a piece through an edge made by a cut
-    would put three edges into one face pair of the intermediate. So the
-    pieces left without circles are prime. Only the intermediate and
-    those final pieces are built as diagrams.
+    The intermediate is built and validated. Its circles are read off its
+    blocks (``_circle_path``), which must form a path joined by one circle
+    per link: that is the concentricity check, and the blocks are the
+    final pieces. One dart table of the input carries every surgery of
+    the step: the cutting arc first, then the circles, one piece (a run
+    of blocks along the path) at a time, last piece first and in each
+    piece along its circle of smallest edge pair. Every record is written
+    in the numbering of the piece it cuts.
+
+    A surgery keeps the color of every corner, so the input's
+    checkerboard signs color the intermediate: the face right of dart d
+    is black iff ``(signs[d >> 2] > 0) == bool(d & 1)``, and the merged
+    face of the cutting arc is taken white. Each circle must join its
+    black face to the merged face; the input is prime, so no circle
+    misses the surgered region. So each black face belongs to one circle,
+    no other cut rewires it, and each cut is oriented by its darts'
+    positions in the intermediate's face walk. Each cut must disconnect
+    its piece, and each final piece must be exactly one block, so it is
+    connected. The final pieces are built without ``validate``: one pass
+    over the cut table (``_DartTable.genera``) gives each piece the Euler
+    test and its genus, the genera must sum to one less than the input
+    genus, and each piece's own ``alpha`` checks its labels.
     """
     _require_surgery_input(diagram)
     g = diagram.genus
@@ -392,46 +527,49 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
         raise DiagramError("cutting-arc surgery must split the all-B circle")
     if intermediate.genus != g - 1:
         raise DiagramError("cutting-arc surgery must lower the genus by one")
-    circles = composite_circles(intermediate)
-    witness = certify_concentric(circles)
+    blocks, circles = _circle_path(intermediate)
+    if not circles:
+        return SplitStep(diagram, arc, intermediate, attaching, (intermediate,), ())
+    signs, edge_darts, fod = diagram.signs, intermediate.edge_darts, intermediate.face_of_dart
+    c, s = attaching.darts[0]  # the merged dart
+    merged = fod[4 * c + s]
+    cuts = []
+    for edges, faces in circles:
+        # Of each edge's two darts, the one whose face is black: a face
+        # has the merged face's color iff its dart's crossing sign and
+        # slot parity both agree with the merged dart's, or both differ.
+        darts = (edge_darts[e] for e in edges)
+        da, db = (d if (signs[d >> 2] == signs[c]) == bool((d ^ s) & 1) else a for d, a in darts)
+        black = fod[da]
+        if fod[db] != black or faces != (min(black, merged), max(black, merged)):
+            raise DiagramError("composite circle edges not found on its black face")
+        walk = intermediate.faces[black].darts
+        cuts.append((da, db) if walk.index(da) < walk.index(db) else (db, da))
+    # prefix[j + 1] holds blocks 0..j: one side of the circle after block j.
+    masks = [_dart_mask(b) for b in blocks]
+    prefix = list(accumulate(masks, or_, initial=0))
     finals: list[PlanarDiagram] = []
     used_attachings: list[AttachingEdge] = []
-    if not circles:
-        finals.append(intermediate)
-    else:
-        signs, edge_darts = diagram.signs, intermediate.edge_darts
-        c, s = attaching.darts[0]  # the merged dart
-        pending = [(table.everything, max(intermediate.edge_labels), circles)]
-        while pending:
-            piece, top, cur_circles = pending.pop()
-            if not cur_circles:
-                finals.append(table.diagram(piece))
-                continue
-            circle = cur_circles[0]
-            # Of each edge's two darts, the one whose face is black: a face
-            # has the merged face's color iff its dart's crossing sign and
-            # slot parity both agree with the merged dart's, or both differ.
-            darts = (edge_darts[e] for e in circle.edges)
-            da, db = (d if (signs[d >> 2] == signs[c]) == bool((d ^ s) & 1) else a for d, a in darts)
-            att, parts = table.cut(piece, _dart_mask(circle.sides[0]), top, da, db)
-            used_attachings.append(att)
-            for part, part_top in parts:
-                rest = tuple(cc for cc in cur_circles[1:] if part >> edge_darts[cc.edges[0]][0] & 1)
-                pending.append((part, part_top, rest))
-    finals.sort(key=lambda d: d.crossings)
-    total = sum(turaev_genus(f) for f in finals)
+    pending = [(table.everything, max(intermediate.edge_labels), 0, len(blocks) - 1)]
+    while pending:
+        piece, top, lo, hi = pending.pop()
+        if lo == hi:
+            if piece != masks[lo]:
+                raise DiagramError("a split piece is not one block of the intermediate")
+            finals.append(PlanarDiagram(table.rows(piece)))
+            continue
+        j = min(range(lo, hi), key=lambda j: circles[j][0])
+        att, parts = table.cut(piece, prefix[j + 1], top, *cuts[j])
+        used_attachings.append(att)
+        for part, part_top in parts:
+            pending.append((part, part_top, lo, j) if part & prefix[j + 1] else (part, part_top, j + 1, hi))
+    total = sum(table.genera(blocks))
     if total != g - 1:
         raise DiagramError(f"component genera sum to {total}, expected {g - 1}")
-    return SplitStep(
-        diagram,
-        arc,
-        intermediate,
-        attaching,
-        circles,
-        witness,
-        tuple(finals),
-        tuple(used_attachings),
-    )
+    for f in finals:
+        f.alpha  # every label of the piece exactly twice, by its own pairing
+    finals.sort(key=lambda d: d.crossings)
+    return SplitStep(diagram, arc, intermediate, attaching, tuple(finals), tuple(used_attachings))
 
 
 # -- the reduction ladder -----------------------------------------------------
@@ -487,10 +625,10 @@ def _factor_composite(diagram: PlanarDiagram) -> tuple[tuple[PlanarDiagram, ...]
     """Split a composite diagram along its circle of smallest edge pair,
     surgering inside the circle's face of smaller id."""
     circle = composite_circles(diagram)[0]
-    face = min(circle.faces)
-    da, db = (next(d for d in diagram.edge_darts[e] if diagram.face_of_dart[d] == face) for e in circle.edges)
+    labels = diagram.flat_labels
+    u1, u2 = (d for d in diagram.faces[min(circle.faces)].darts if labels[d] in circle.edges)
     table = _DartTable(diagram)
-    att, parts = table.cut(table.everything, _dart_mask(circle.sides[0]), max(diagram.edge_labels), da, db)
+    att, parts = table.cut(table.everything, _dart_mask(circle.sides[0]), max(diagram.edge_labels), u1, u2)
     return tuple(table.diagram(part) for part, _ in parts), (att,)
 
 

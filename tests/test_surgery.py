@@ -17,6 +17,10 @@ from turaev.pdcore import (
 )
 from turaev.states import all_a, all_b, state_circles, turaev_genus
 from turaev.surgery import (
+    AttachingEdge,
+    _block_path,
+    _circle_path,
+    _DartTable,
     certify_concentric,
     connect_sum,
     find_cutting_arcs,
@@ -180,6 +184,44 @@ class TestConnectSum:
         assert turaev_genus(joined) == 2
         assert not is_prime(joined)
 
+    def test_second_diagram_labels_shift_by_largest_first_label(self):
+        joined = connect_sum(TREFOIL, 0, TREFOIL, 0)
+        # The second copy's labels 1..6 become 7..12; the splice adds 13, 14.
+        assert joined.crossings == (
+            (14, 4, 2, 5), (3, 6, 4, 13), (5, 2, 6, 3), (13, 10, 8, 11), (9, 12, 10, 14), (11, 8, 12, 9)
+        )
+
+    def test_second_diagram_with_label_zero(self):
+        # Shifted by the trefoil's largest label 6 alone, the kink's label 0
+        # would become a third occurrence of label 6.
+        joined = connect_sum(TREFOIL, 0, parse_pd("X[0,0,1,1]"), 0)
+        same = connect_sum(TREFOIL, 0, parse_pd("X[1,1,2,2]"), 0)
+        assert joined.n == 4
+        assert canonical_encoding(joined) == canonical_encoding(same)
+
+    @pytest.mark.parametrize(
+        "dart1, dart2, bad", [(-1, 0, "dart1 -1"), (12, 0, "dart1 12"), (0, -1, "dart2 -1"), (0, 12, "dart2 12")]
+    )
+    def test_dart_outside_diagram_rejected(self, dart1, dart2, bad):
+        with pytest.raises(DiagramError, match=f"{bad} is not a dart of its diagram"):
+            connect_sum(TREFOIL, dart1, TREFOIL, dart2)
+
+    def test_dart_of_the_other_diagram_rejected(self):
+        kink = parse_pd("X[1,1,2,2]")
+        with pytest.raises(DiagramError, match="dart1 4 is not a dart of its diagram"):
+            connect_sum(kink, 4, TREFOIL, 0)
+        with pytest.raises(DiagramError, match="dart2 11 is not a dart of its diagram"):
+            connect_sum(TREFOIL, 0, kink, 11)
+
+
+class TestInverseSurgery:
+    @pytest.mark.parametrize("darts", [((9, 0), (0, 1)), ((0, 1), (-1, 0)), ((0, 4), (0, 1))])
+    def test_record_outside_diagram_rejected(self, darts):
+        d = fixtures.pseudotref()
+        result, att = surger_cutting_arc(d, outermost_bigon_arc(d))
+        with pytest.raises(DiagramError, match="attaching-edge record does not match this diagram"):
+            inverse_surgery(result, AttachingEdge(att.new_edges, darts))
+
 
 class TestSplitStep:
     def test_clasp2(self):
@@ -259,6 +301,169 @@ class TestConcentric:
         )
         with pytest.raises(DiagramError, match="composite circles are not concentric"):
             certify_concentric(circles)
+
+
+def path_chains(blocks):
+    """The nested sides of a block path, read from either end: the
+    crossings of its first 1, 2, ... blocks, ascending."""
+    chains = []
+    for order in (blocks, blocks[::-1]):
+        side, chain = [], []
+        for block in order[:-1]:
+            side += block
+            chain.append(tuple(sorted(side)))
+        chains.append(tuple(chain))
+    return chains
+
+
+class TestCirclePath:
+    def test_side_by_side_sets_rejected(self):
+        # The block graphs of TestConcentric's side-by-side circles: each
+        # of k blocks joined to one more block by both edges of a circle.
+        for k in (3, 20):
+            ends = [((i, k), (k, i)) for i in range(k)]
+            with pytest.raises(DiagramError, match="composite circles are not concentric"):
+                _block_path(k + 1, ends)
+
+    def test_nested_chain_is_a_path(self):
+        # TestConcentric's 20 nested circles: circle i joins blocks i, i + 1.
+        ends = [((i + 1, i), (i, i + 1)) for i in range(20)]
+        assert _block_path(21, ends) == (list(range(21)), list(range(20)))
+        assert _block_path(21, ends[::-1]) == (list(range(21)), list(range(19, -1, -1)))
+
+    @pytest.mark.parametrize(
+        "n_blocks, ends",
+        [
+            (3, [((0, 1), (1, 2)), ((1, 2), (0, 1))]),  # each circle's edges join two block pairs
+            (3, [((0, 1), (1, 0)), ((2, 2), (1, 2))]),  # an edge inside one block
+            (4, [((0, 1), (0, 1)), ((1, 2), (2, 1)), ((2, 0), (0, 2))]),  # a cycle, block 3 unreached
+            (5, [((0, 1), (1, 0)), ((1, 2), (2, 1)), ((2, 3), (3, 2)), ((3, 1), (1, 3))]),  # block 1 on three circles
+            (3, [((0, 1), (1, 0))]),  # more blocks than circles allow
+        ],
+    )
+    def test_other_block_graphs_rejected(self, n_blocks, ends):
+        with pytest.raises(DiagramError, match="composite circles are not concentric"):
+            _block_path(n_blocks, ends)
+
+    def test_side_by_side_summands_rejected(self):
+        d = TREFOIL
+        for dart in (0, 5, 10):
+            d = connect_sum(d, dart, parse_pd("X[1,1,2,2]"), 0)
+        assert len(composite_circles(d)) == 4
+        with pytest.raises(DiagramError, match="composite circles are not concentric"):
+            certify_concentric(composite_circles(d))
+        with pytest.raises(DiagramError, match="composite circles are not concentric"):
+            _circle_path(d)
+
+    def test_matches_certify_concentric(self, oracle_corpus):
+        """On every composite diagram of the oracle corpus, and on the
+        intermediate of every cutting arc of its prime non-alternating
+        diagrams, the block path exists exactly when ``certify_concentric``
+        finds a chain; then its circles are the composite circles, each
+        with the blocks before it as one side, and the chain is read from
+        one of its ends."""
+        accepted = rejected = intermediates = 0
+        for d in oracle_corpus:
+            if not d.is_connected:
+                continue
+            candidates = [d]
+            if not is_alternating(d) and is_prime(d):
+                candidates += [surger_cutting_arc(d, arc)[0] for arc in find_cutting_arcs(d)]
+            for x in candidates:
+                circles = composite_circles(x) if x.is_connected else ()
+                if not circles:
+                    continue
+                try:
+                    witness = certify_concentric(circles)
+                except DiagramError:
+                    with pytest.raises(DiagramError, match="composite circles are not concentric"):
+                        _circle_path(x)
+                    rejected += 1
+                    continue
+                blocks, path = _circle_path(x)
+                by_edges = {c.edges: c for c in circles}
+                assert sorted(edges for edges, _ in path) == sorted(by_edges)
+                side = []
+                for block, (edges, faces) in zip(blocks, path):
+                    side += block
+                    assert faces == by_edges[edges].faces
+                    assert tuple(sorted(side)) in by_edges[edges].sides
+                assert witness in path_chains(blocks)
+                accepted += 1
+                intermediates += x is not d
+        assert accepted > 2000
+        assert intermediates > 500
+        assert rejected > 2000
+
+
+class TestSplitStepChecks:
+    """Each check of the split step raises DiagramError on a step
+    corrupted just before it."""
+
+    def test_genera_of_valid_tables(self):
+        assert _DartTable(TREFOIL).genera([[0, 1, 2]]) == [0]
+        assert _DartTable(PSEUDOTREF).genera([[0, 1, 2]]) == [1]
+        rows = list(TREFOIL.crossings) + [tuple(x + 6 for x in row) for row in PSEUDOTREF.crossings]
+        union = PlanarDiagram.from_rows(rows, allow_disconnected=True)
+        assert _DartTable(union).genera([[0, 1, 2], [3, 4, 5]]) == [0, 1]
+
+    def test_euler_test(self):
+        # One crossing whose slots 0, 2 and 1, 3 are joined: a torus.
+        table = _DartTable(PlanarDiagram(((1, 2, 1, 2),)))
+        with pytest.raises(DiagramError, match="rotation system is not planar"):
+            table.genera([[0]])
+
+    def test_edge_labels_agree_with_the_pairing(self):
+        table = _DartTable(TREFOIL)
+        table.labels[0] = 99
+        with pytest.raises(DiagramError, match="carry different labels"):
+            table.genera([[0, 1, 2]])
+
+    def test_cut_on_black_face(self):
+        # Flip the sign of the merged dart's crossing: each circle's edges
+        # elsewhere then offer their darts on the merged face as black.
+        d = parse_pd(PSEUDOTREF.to_pd_text())
+        merged_crossing = surger_cutting_arc(d, outermost_bigon_arc(d))[1].darts[0][0]
+        d.__dict__["signs"] = {c: -s if c == merged_crossing else s for c, s in d.signs.items()}
+        with pytest.raises(DiagramError, match="composite circle edges not found on its black face"):
+            split_step(d)
+
+    def test_cut_disconnects(self, monkeypatch):
+        real = _DartTable.cut
+        monkeypatch.setattr(_DartTable, "cut", lambda self, piece, side, *rest: real(self, piece, 0, *rest))
+        with pytest.raises(DiagramError, match="surgery along a composite circle must disconnect"):
+            split_step(PSEUDOTREF)
+
+    def test_piece_is_one_block(self, monkeypatch):
+        real = _DartTable.cut
+
+        def leaky(self, *args):
+            att, ((p0, t0), (p1, t1)) = real(self, *args)
+            moved = 15 << (p1 & -p1).bit_length() - 1  # p1's smallest crossing
+            return att, [(p0 | moved, t0), (p1 & ~moved, t1)]
+
+        monkeypatch.setattr(_DartTable, "cut", leaky)
+        with pytest.raises(DiagramError, match="a split piece is not one block of the intermediate"):
+            split_step(CLASP2)  # one cut, into two one-crossing blocks
+
+    def test_genus_sum(self, monkeypatch):
+        real = _DartTable.genera
+        monkeypatch.setattr(_DartTable, "genera", lambda self, pieces: [g + 1 for g in real(self, pieces)])
+        with pytest.raises(DiagramError, match="component genera sum to"):
+            split_step(PSEUDOTREF)
+
+    def test_piece_labels(self, monkeypatch):
+        real = _DartTable.rows
+
+        def relabelled(self, piece):
+            rows = real(self, piece)
+            if piece == self.everything:  # the intermediate
+                return rows
+            return ((999,) + rows[0][1:],) + rows[1:]
+
+        monkeypatch.setattr(_DartTable, "rows", relabelled)
+        with pytest.raises(DiagramError, match="edge labels must occur exactly twice"):
+            split_step(PSEUDOTREF)
 
 
 class TestReduceLadder:
@@ -402,6 +607,16 @@ class TestAgainstOracles:
 
 
 class TestManyCompositeCircles:
+    def test_seeded_primes_with_many_circles_match_peel(self, bench_inputs):
+        rng = random.Random(15)
+        counts = []
+        for _ in range(40):
+            d = PlanarDiagram.from_rows(bench_inputs.prime_rows(rng, rng.randint(20, 80), None))
+            if len(split_step(d).intermediate.face_pair_edges) >= 15:
+                counts.append(len(assert_split_matches_peel(d).intermediate_circles))
+        assert len(counts) >= 5
+        assert max(counts) >= 50
+
     def test_nineteen_circles_split_in_one_step(self):
         d = parse_pd(NESTED_19)
         step = assert_split_matches_peel(d)
