@@ -199,7 +199,25 @@ def _cmd_classify(args) -> int:
     return _emit(_map_files(args.files, _classify_worker, args.jobs), args.format)
 
 
+def _ladder_name(path: str) -> str:
+    return Path(path).stem + ".ladder.json"
+
+
 def _cmd_reduce(args) -> int:
+    if args.out:
+        # Inputs of one stem would overwrite each other's ladder file:
+        # refuse the batch before running or writing anything.
+        first: dict[str, str] = {}
+        clashes = []
+        for path in args.files:
+            name = _ladder_name(path)
+            if name in first:
+                clashes.append(f"error: {first[name]} and {path} would both write {name}")
+            else:
+                first[name] = path
+        if clashes:
+            print("\n".join(clashes), file=sys.stderr)
+            return EXIT_INPUT
     results = _map_files(args.files, _reduce_worker, args.jobs)
     code = EXIT_OK
     for path, data in results:
@@ -211,8 +229,7 @@ def _cmd_reduce(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for path, data in results:
-            name = Path(path).stem + ".ladder.json"
-            (outdir / name).write_text(_dump(data) + "\n", encoding="utf-8")
+            (outdir / _ladder_name(path)).write_text(_dump(data) + "\n", encoding="utf-8")
     return max(code, _emit(results, args.format))
 
 

@@ -18,13 +18,21 @@ Every surgery here, an arc surgery, its inverse, a connected sum and the
 cuts along composite circles, is one splice of a ``_DartTable``: the
 labels and the edge pairing ``alpha`` of the darts, rewired in place.
 
-The split step after a cutting-arc surgery reads its prime pieces off
-the intermediate diagram's blocks, the crossing classes left when the
-two edges of every composite circle are deleted. The blocks must form a
-path, neighbours joined by one circle, which is the concentricity check;
-each cut is checked to disconnect its piece, and the final pieces are
-checked in one pass over the dart table instead of one ``validate``
-each. ``SplitStep.intermediate_circles`` and ``concentric_witness`` are
+The reduction ladder runs on one dart table built from its input. A rung
+is a piece of the table (its crossings and their dart mask) and its
+largest label. What a rung reads, its alternation, face pairs, face
+walks and state circles, comes from walks of the piece's orbits
+(``_DartTable.walk``) numbered as ``PlanarDiagram.from_rows`` would
+number the piece's own rows, so no piece is rebuilt or revalidated. The
+intermediate diagram of a cut is never built: its checks (connected,
+V - E + F = 2, both darts of each edge on one label, one more all-A and
+all-B circle, genus one lower) are made on the table. The split reads
+the prime pieces off the intermediate's blocks, the crossing classes
+left when the two edges of every composite circle are deleted; the
+blocks must form a path, neighbours joined by one circle, which is the
+concentricity check. ``split_step`` runs the same rung on a table of
+its own and builds the validated intermediate for its ``SplitStep``;
+``SplitStep.intermediate_circles`` and ``concentric_witness`` are
 computed only when read.
 """
 
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby
 from operator import or_
 
 from .pdcore import (
@@ -75,7 +83,8 @@ class AttachingEdge:
 
 def find_cutting_arcs(diagram: PlanarDiagram) -> tuple[CuttingArc, ...]:
     """All cutting arcs of a prime connected non-alternating diagram."""
-    arcs = [arc for _, _, arc in _face_arcs(diagram) if arc is not None]
+    table, walk = _walked(diagram)
+    arcs = table.cutting_arcs(walk)
     return tuple(sorted(arcs, key=lambda arc: (arc.alpha_circle, arc.face, arc.positions)))
 
 
@@ -86,42 +95,15 @@ def outermost_bigon_arc(diagram: PlanarDiagram) -> CuttingArc:
     between an all-A and an all-B arc; the one whose A-circle has the
     smallest id is preferred, then smallest face id and positions.
     """
-    candidates = []
-    for face_id, spots, arc in _face_arcs(diagram):
-        if spots != 2:
-            continue
-        if arc is None:
-            # The hugging arcs of a two-incidence face always share their
-            # circles; anything else indicates corrupted input.
-            raise DiagramError(f"bigon face {face_id} has mismatched state circles")
-        candidates.append(arc)
-    if not candidates:
-        raise DiagramError(
-            "no empty bigon face found; a prime connected non-alternating "
-            "diagram always has one, so the input is corrupted"
-        )
-    return min(candidates, key=lambda arc: (arc.alpha_circle, arc.face, arc.positions))
+    table, walk = _walked(diagram)
+    return table.outermost_arc(walk)[0]
 
 
-def _face_arcs(diagram: PlanarDiagram) -> list[tuple[int, int, CuttingArc | None]]:
-    """One scan of the face boundaries: per pair of non-alternating
-    incidences on distinct edges of one face, the face id, its incidence
-    count and the arc joining them, or None when the two edges do not share
-    both their all-A and their all-B circle."""
+def _walked(diagram: PlanarDiagram) -> tuple[_DartTable, _Walk]:
+    """A dart table of a surgery input, and the walk of all of it."""
     _require_surgery_input(diagram)
-    labels, alpha = diagram.flat_labels, diagram.alpha
-    a_of, b_of = diagram.edge_circles
-    out = []
-    for face in diagram.faces:
-        # A non-alternating edge joins two slots of equal parity.
-        spots = [(i, labels[d]) for i, d in enumerate(face.darts) if not (d ^ alpha[d]) & 1]
-        for (i, e1), (j, e2) in combinations(spots, 2):
-            if e1 == e2:
-                continue
-            shared = a_of[e1] == a_of[e2] and b_of[e1] == b_of[e2]
-            arc = CuttingArc(face.id, (i, j), (e1, e2), a_of[e1], b_of[e1]) if shared else None
-            out.append((face.id, len(spots), arc))
-    return out
+    table = _DartTable(diagram)
+    return table, table.walk(range(diagram.n), table.everything)
 
 
 def _require_surgery_input(diagram: PlanarDiagram) -> None:
@@ -206,8 +188,9 @@ class SplitStep:
     The merged face of the cutting-arc surgery is white, and each circle
     is cut in its black face. The components are the intermediate's
     blocks: the crossing classes left when the two edges of every circle
-    are deleted. The circles and their nesting order are computed only
-    when read: ``intermediate_circles`` by ``composite_circles``, and
+    are deleted. ``intermediate`` is built and validated from the table
+    after its checks; the circles and their nesting order are computed
+    only when read: ``intermediate_circles`` by ``composite_circles``, and
     ``concentric_witness`` by ``certify_concentric``, per circle the
     crossing side chosen so the sides form an ascending chain.
     """
@@ -299,34 +282,12 @@ def _dart_mask(crossings) -> int:
 def _circle_path(diagram: PlanarDiagram) -> tuple[list[list[int]], list[tuple[tuple[int, ...], tuple[int, int]]]]:
     """The blocks of a connected diagram in path order, and for the j-th
     link of the path the composite circle joining blocks j and j + 1, as
-    its edge pair and face pair.
-
-    The blocks are the crossing classes left when the edges of every face
-    pair are deleted, as ``composite_circles`` takes them. Every face pair
-    must hold exactly two edges, one circle, and the blocks must form a
-    path whose neighbours are joined by the two edges of one circle. Then
-    the circle between blocks j and j + 1 has blocks 0..j on one side, so
-    the sides nest. Conversely, nested circles leave between two
-    neighbours a region that is one block: a region in two parts would cut
-    one part off the diagram, or put the edges of both circles into one
-    face pair. A face pair of three edges bounds three side-by-side
-    regions. Anything else raises DiagramError.
-    """
-    circles = []
-    for faces, labs in diagram.face_pair_edges.items():
-        if len(labs) != 2:
-            raise DiagramError("composite circles are not concentric")
-        circles.append((labs, faces))
-    ed = diagram.edge_darts
-    cut = {lab for labs, _ in circles for lab in labs}
-    blocks = _crossing_classes(diagram.n, ((d1 >> 2, d2 >> 2) for lab, (d1, d2) in ed.items() if lab not in cut))
-    block_of = [0] * diagram.n
-    for b, group in enumerate(blocks):
-        for c in group:
-            block_of[c] = b
-    ends = [tuple((block_of[ed[lab][0] >> 2], block_of[ed[lab][1] >> 2]) for lab in labs) for labs, _ in circles]
-    block_order, circle_order = _block_path(len(blocks), ends)
-    return [blocks[b] for b in block_order], [circles[i] for i in circle_order]
+    its edge pair and face pair; ``_DartTable.circle_path`` on a table of
+    the whole diagram."""
+    table = _DartTable(diagram)
+    walk = table.walk(range(diagram.n), table.everything)
+    blocks, circles = table.circle_path(walk, table.blocks(walk))
+    return blocks, [(labs, faces) for labs, faces, _ in circles]
 
 
 def _block_path(n_blocks: int, ends: list[tuple[tuple[int, int], ...]]) -> tuple[list[int], list[int]]:
@@ -359,20 +320,70 @@ def _block_path(n_blocks: int, ends: list[tuple[tuple[int, int], ...]]) -> tuple
     return block_order, circle_order[1:]
 
 
+class _Walk:
+    """One piece of a dart table as one walk of its phi orbits saw it.
+
+    The walk starts each face at the piece's smallest unwalked dart, in
+    ascending dart order, so face i of the piece, with table id
+    ``base + i`` and first dart ``starts[i]``, is face i of
+    ``PlanarDiagram.from_rows`` on the piece's rows, walked from the same
+    dart. ``spots`` lists the non-alternating darts in walk order, face by
+    face; ``pairs`` maps each pair of faces (piece ids, ascending) sharing
+    two or more edges to one dart of each of those edges, by ascending
+    label. ``counts`` (|s_A|, |s_B|) and ``least``, per smoothing the
+    table id of the first circle and each circle's least label, are
+    filled when ``_DartTable.circles`` first walks the piece's all-A and
+    all-B circles.
+    """
+
+    __slots__ = ("crossings", "mask", "base", "starts", "spots", "pairs", "counts", "least")
+
+    def __init__(self, crossings, mask, base, starts, spots, pairs):
+        self.crossings = crossings
+        self.mask = mask
+        self.base = base
+        self.starts = starts
+        self.spots = spots
+        self.pairs = pairs
+        self.counts = None
+        self.least = None
+
+    def check_planar(self, where: str) -> None:
+        """V - E + F = 2: a piece of n crossings has n + 2 faces."""
+        chi = len(self.starts) - len(self.crossings)
+        if chi != 2:
+            raise DiagramError(f"rotation system is not planar: V-E+F = {chi} on {where}")
+
+
 class _DartTable:
     """The labels and edge pairing of one diagram's darts, surgered in place.
 
-    A piece is a set of crossings held as a dart bitmask (four bits per
-    crossing). The table numbers a piece's crossings as
+    A piece is a set of crossings, ascending, held also as a dart bitmask
+    (four bits per crossing). The table numbers a piece's crossings as
     ``PlanarDiagram.from_rows`` would number the piece's own rows, in
     ascending order. ``splice`` is the one place where a surgery rewires
     darts.
+
+    Walks write their per-dart facts (face, all-A and all-B circle) and
+    per-crossing block into table-wide arrays under ids drawn from a
+    counter that only grows, so a walk tells its own marks by id and
+    never clears the arrays. Pieces split from one another never share a
+    dart, so a piece's marks stay valid until the piece is spliced; its
+    walk is kept in ``walked`` until then.
     """
 
     def __init__(self, diagram: PlanarDiagram):
         self.labels = list(diagram.flat_labels)
         self.alpha = list(diagram.alpha)
         self.everything = (1 << diagram.n_darts) - 1
+        n = diagram.n_darts
+        self.face = [-1] * n
+        self.circle = ([-1] * n, [-1] * n)  # all-A, all-B
+        self.block = [-1] * diagram.n
+        self.ids = 0  # the next unused face, circle or block id
+        self.walked: dict[int, _Walk] = {}
+
+    # -- surgery ------------------------------------------------------------
 
     def splice(self, piece: int, top: int, u1: int, u2: int) -> AttachingEdge:
         """Cut the edges of darts u1 and u2 and rejoin alpha(u1) to u2 as
@@ -381,6 +392,7 @@ class _DartTable:
 
         Returns the attaching record in the piece's numbering.
         """
+        self.walked.pop(piece, None)
         labels, alpha = self.labels, self.alpha
         a1, a2 = alpha[u1], alpha[u2]
         fx, fy = top + 1, top + 2
@@ -431,53 +443,370 @@ class _DartTable:
     def diagram(self, piece: int, *, allow_disconnected: bool = False) -> PlanarDiagram:
         return PlanarDiagram.from_rows(self.rows(piece), allow_disconnected=allow_disconnected)
 
-    def genera(self, pieces: list[list[int]]) -> list[int]:
-        """The Turaev genus of each piece, given as its crossings, checked
-        on the whole table: the pieces must cover it, each closed under
-        ``alpha``, and every dart must carry its partner's label.
+    # -- walks --------------------------------------------------------------
 
-        One walk of the phi orbits gives each piece's face count, which
-        must pass the Euler test V - E + F = 2, and one walk each of the
-        orbits of ``d -> alpha[d] ^ 1`` and ``^ 3`` counts its all-A and
-        all-B circles, two orbits per circle, as ``circle_counts`` does.
-        """
-        labels, alpha = self.labels, self.alpha
-        owner = [0] * (len(alpha) >> 2)
-        for i, piece in enumerate(pieces):
-            for c in piece:
-                owner[c] = i
-        faces = [0] * len(pieces)
-        seen = bytearray(len(alpha))
-        for start in range(len(alpha)):
-            if seen[start]:
-                continue
-            faces[owner[start >> 2]] += 1
-            d = start
-            while not seen[d]:
-                seen[d] = 1
-                a = alpha[d]
-                if labels[a] != labels[d]:
-                    raise DiagramError(f"darts {d} and {a} of one edge carry different labels")
-                d = (a & ~3) | ((a + 1) & 3)
-        orbits = []
-        for mask in (1, 3):
-            count = [0] * len(pieces)
-            seen = bytearray(len(alpha))
-            for start in range(len(alpha)):
-                if seen[start]:
+    def walk(self, crossings, mask: int | None = None) -> _Walk:
+        """The walk of the piece with these ascending crossings: one pass
+        over its phi orbits gives its faces, spots and face pairs, and
+        checks that both darts of every edge carry one label. A walk is
+        kept, and returned again, until the piece is spliced."""
+        if mask is None:
+            mask = _dart_mask(crossings)
+        kept = self.walked.get(mask)
+        if kept is not None:
+            return kept
+        labels, alpha, face = self.labels, self.alpha, self.face
+        base = f = self.ids
+        starts: list[int] = []
+        spots: list[int] = []
+        pairs: dict[tuple[int, int], list[int]] = {}
+        # Per earlier face of the piece: the last face whose walk met it
+        # across an edge, and that edge's dart. An edge between two faces
+        # is met when the later face is walked, so a face pair sharing two
+        # edges is met twice in one walk.
+        met = [-1] * (4 * len(crossings))
+        first = [0] * len(met)
+        for c in crossings:
+            for start in range(4 * c, 4 * c + 4):
+                if face[start] >= base:
                     continue
-                count[owner[start >> 2]] += 1
+                starts.append(start)
                 d = start
-                while not seen[d]:
-                    seen[d] = 1
-                    d = alpha[d] ^ mask
-            orbits.append(count)
-        genera = []
-        for piece, f, oa, ob in zip(pieces, faces, *orbits):
-            if f != len(piece) + 2:
-                raise DiagramError(f"rotation system is not planar: V-E+F = {f - len(piece)} on a split piece")
-            genera.append(_genus_of_counts(len(piece), oa >> 1, ob >> 1))
-        return genera
+                while face[d] < base:
+                    face[d] = f
+                    a = alpha[d]
+                    if labels[a] != labels[d]:
+                        raise DiagramError(f"darts {d} and {a} of one edge carry different labels")
+                    if not (d ^ a) & 1:
+                        spots.append(d)
+                    g = face[a] - base
+                    if 0 <= g < f - base:  # the edge's other dart, walked in an earlier face
+                        if met[g] == f:
+                            pairs.setdefault((g, f - base), [first[g]]).append(d)
+                        else:
+                            met[g] = f
+                            first[g] = d
+                    d = (a & ~3) | ((a + 1) & 3)
+                f += 1
+        self.ids = f
+        by_label = labels.__getitem__
+        pairs = {key: sorted(ds, key=by_label) for key, ds in sorted(pairs.items())}
+        walk = self.walked[mask] = _Walk(crossings, mask, base, starts, spots, pairs)
+        return walk
+
+    def position(self, walk: _Walk, d: int) -> int:
+        """Dart d's position in the walk of its face, from the face's
+        first dart, as ``PlanarDiagram.faces`` lists it."""
+        alpha, x, i = self.alpha, walk.starts[self.face[d] - walk.base], 0
+        while x != d:
+            a = alpha[x]
+            x = (a & ~3) | ((a + 1) & 3)
+            i += 1
+        return i
+
+    def circles(self, walk: _Walk) -> tuple[int, int]:
+        """(|s_A|, |s_B|) of the piece, with ``walk.least`` filled.
+
+        The A-smoothing pairs slot s with s ^ 1 and the B-smoothing with
+        s ^ 3, so ``d -> alpha[d] ^ 1`` (``^ 3``) walks a circle one edge
+        per step; its reverse orbit is the alpha image, marked on the way,
+        so each circle is walked once. Both darts of an edge carry its
+        circle's id.
+        """
+        if walk.counts is None:
+            labels, alpha = self.labels, self.alpha
+            k = self.ids
+            counts, mins = [], []
+            for mask, circle in zip((1, 3), self.circle):
+                base = k
+                smallest = []
+                for c in walk.crossings:
+                    for start in range(4 * c, 4 * c + 4):
+                        if circle[start] >= base:
+                            continue
+                        m = labels[start]
+                        d = start
+                        while circle[d] < base:
+                            a = alpha[d]
+                            circle[d] = circle[a] = k
+                            if labels[d] < m:
+                                m = labels[d]
+                            d = a ^ mask
+                        smallest.append(m)
+                        k += 1
+                counts.append(k - base)
+                mins.append((base, smallest))
+            self.ids = k
+            walk.counts, walk.least = (counts[0], counts[1]), (mins[0], mins[1])
+        return walk.counts
+
+    def genus(self, walk: _Walk) -> int:
+        return _genus_of_counts(len(walk.crossings), *self.circles(walk))
+
+    def genera(self, pieces: list[list[int]]) -> list[int]:
+        """The Turaev genus of each piece, given as its ascending
+        crossings: each piece is walked (and its walk kept), must pass the
+        Euler test V - E + F = 2, and gets its genus from its all-A and
+        all-B circle counts."""
+        out = []
+        for piece in pieces:
+            walk = self.walk(piece)
+            walk.check_planar("a split piece")
+            out.append(self.genus(walk))
+        return out
+
+    def blocks(self, walk: _Walk, cut: set[int] | None = None) -> list[list[int]]:
+        """The crossing classes of the piece once the edges of the darts
+        in ``cut`` are deleted (by default every face-pair edge), each
+        ascending, in order of their smallest crossing; a breadth-first
+        search over ``alpha`` marks each crossing's block."""
+        alpha, block = self.alpha, self.block
+        if cut is None:
+            cut = {x for ds in walk.pairs.values() for d in ds for x in (d, alpha[d])}
+        base = b = self.ids
+        out = []
+        for root in walk.crossings:
+            if block[root] >= base:
+                continue
+            block[root] = b
+            comp = [root]
+            for c in comp:
+                for d in range(4 * c, 4 * c + 4):
+                    x = alpha[d] >> 2
+                    if block[x] < base and d not in cut:
+                        block[x] = b
+                        comp.append(x)
+            comp.sort()
+            out.append(comp)
+            b += 1
+        self.ids = b
+        return out
+
+    def circle_path(self, walk: _Walk, blocks: list[list[int]]) -> tuple[list[list[int]], list]:
+        """The blocks in path order and, for the j-th link of the path,
+        the composite circle joining blocks j and j + 1, as its edge pair,
+        face pair and the (smaller, larger) darts of each edge.
+
+        Every face pair must hold exactly two edges, one circle, and the
+        blocks must form a path whose neighbours are joined by the two
+        edges of one circle. Then the circle between blocks j and j + 1
+        has blocks 0..j on one side, so the sides nest. Conversely, nested
+        circles leave between two neighbours a region that is one block: a
+        region in two parts would cut one part off the diagram, or put the
+        edges of both circles into one face pair. A face pair of three
+        edges bounds three side-by-side regions. Anything else raises
+        DiagramError.
+        """
+        labels, alpha, block = self.labels, self.alpha, self.block
+        # The blocks of one ``blocks`` call carry consecutive ids.
+        circles = []
+        for faces, ds in walk.pairs.items():
+            if len(ds) != 2:
+                raise DiagramError("composite circles are not concentric")
+            darts = tuple((d, alpha[d]) if d < alpha[d] else (alpha[d], d) for d in ds)
+            circles.append((tuple(labels[d] for d in ds), faces, darts))
+        base = block[blocks[0][0]]
+        ends = [tuple((block[d >> 2] - base, block[a >> 2] - base) for d, a in darts) for _, _, darts in circles]
+        block_order, circle_order = _block_path(len(blocks), ends)
+        return [blocks[b] for b in block_order], [circles[i] for i in circle_order]
+
+    # -- arcs ---------------------------------------------------------------
+
+    def _spot_runs(self, walk: _Walk):
+        """Each face of the piece with non-alternating incidences, as its
+        piece id and those incidences' darts in walk order."""
+        for f, run in groupby(walk.spots, key=self.face.__getitem__):
+            yield f - walk.base, list(run)
+
+    def cutting_arcs(self, walk: _Walk) -> list[CuttingArc]:
+        """Per pair of non-alternating incidences on distinct edges of one
+        face, when the two edges share both their all-A and their all-B
+        circle, the arc joining them. Circle ids count the circles of
+        smaller least label, as ``PlanarDiagram.edge_circles`` numbers
+        them."""
+        self.circles(walk)
+        labels, (ca, cb) = self.labels, self.circle
+        rank_a, rank_b = (
+            {base + k: r for r, k in enumerate(sorted(range(len(mins)), key=mins.__getitem__))}
+            for base, mins in walk.least
+        )
+        out = []
+        for f, run in self._spot_runs(walk):
+            for d1, d2 in combinations(run, 2):
+                if labels[d1] != labels[d2] and ca[d1] == ca[d2] and cb[d1] == cb[d2]:
+                    positions = (self.position(walk, d1), self.position(walk, d2))
+                    out.append(CuttingArc(f, positions, (labels[d1], labels[d2]), rank_a[ca[d1]], rank_b[cb[d1]]))
+        return out
+
+    def outermost_arc(self, walk: _Walk) -> tuple[CuttingArc, int, int]:
+        """The arc of ``outermost_bigon_arc`` on the piece, with the darts
+        of its two edges on its face, in walk order."""
+        self.circles(walk)
+        labels, (ca, cb) = self.labels, self.circle
+        (base_a, mins_a), (base_b, mins_b) = walk.least
+        best = None
+        for f, run in self._spot_runs(walk):
+            if len(run) != 2:
+                continue
+            d1, d2 = run
+            if labels[d1] == labels[d2]:
+                continue
+            if ca[d1] != ca[d2] or cb[d1] != cb[d2]:
+                # The hugging arcs of a two-incidence face always share
+                # their circles; anything else indicates corrupted input.
+                raise DiagramError(f"bigon face {f} has mismatched state circles")
+            # A circle's least label orders the circles as their ids do;
+            # a face holds one candidate, so no two tie on the face.
+            key = (mins_a[ca[d1] - base_a], f)
+            if best is None or key < best[0]:
+                best = (key, f, d1, d2)
+        if best is None:
+            raise DiagramError(
+                "no empty bigon face found; a prime connected non-alternating "
+                "diagram always has one, so the input is corrupted"
+            )
+        _, f, d1, d2 = best
+        least_a, least_b = mins_a[ca[d1] - base_a], mins_b[cb[d1] - base_b]
+        arc = CuttingArc(
+            f,
+            (self.position(walk, d1), self.position(walk, d2)),
+            (labels[d1], labels[d2]),
+            sum(m < least_a for m in mins_a),
+            sum(m < least_b for m in mins_b),
+        )
+        return arc, d1, d2
+
+    # -- rungs --------------------------------------------------------------
+
+    def surger_rung(self, walk: _Walk, top: int) -> tuple[CuttingArc, AttachingEdge, int]:
+        """The cutting-arc surgery of a prime non-alternating piece along
+        its outermost bigon arc: the arc, the attaching record and the
+        merged dart, whose right face is the merged face. The piece's
+        circles are counted, for ``split_rung``, before the splice."""
+        arc, u1, u2 = self.outermost_arc(walk)
+        attaching = self.splice(walk.mask, top, u1, u2)
+        return arc, attaching, self.alpha[u2]
+
+    def split_rung(
+        self, walk: _Walk, top: int, merged: int, signs
+    ) -> tuple[list[tuple[list[int], int, int]], list[AttachingEdge]]:
+        """Check the intermediate diagram a cutting-arc surgery left in the
+        piece of ``walk`` (the piece before the surgery), whose largest
+        label is now ``top``, and split it along its composite circles.
+
+        The intermediate is walked on the table, and each check its
+        ``validate`` would make is made there: it must be connected (its
+        blocks joined through the circles' edges), pass V - E + F = 2,
+        carry one label on both darts of every edge (checked by the walk),
+        have one more all-A and one more all-B circle than the piece, and
+        genus one lower. Its blocks must form a path (``circle_path``),
+        and are the final pieces.
+
+        A surgery keeps the color of every corner, so checkerboard
+        ``signs`` of the ladder's input color every piece: the face right
+        of dart d has the merged face's color iff the sign of d's crossing
+        and d's slot parity both agree with the merged dart's, or both
+        differ; the merged face is white. Each circle must join its black
+        face to the merged face, so each black face belongs to one circle,
+        no other cut rewires it, and each cut is oriented by its darts'
+        positions in the intermediate's face walk. The circles are cut one
+        piece (a run of blocks along the path) at a time, last piece first
+        and in each piece along its circle of smallest edge pair. Each cut
+        must disconnect its piece, each final piece must be exactly one
+        block, so it is connected, and one walk of each final piece gives
+        the Euler test and its genus; the genera must sum to one less than
+        the piece's. Returns the final pieces, as (crossings, dart mask,
+        largest label), and the attaching record of each cut.
+        """
+        g = self.genus(walk)
+        inter = self.walk(walk.crossings, walk.mask)
+        blocks = self.blocks(inter)
+        if len(blocks) > 1:
+            block, alpha, base = self.block, self.alpha, self.block[blocks[0][0]]
+            links = ((block[d >> 2] - base, block[alpha[d] >> 2] - base) for ds in inter.pairs.values() for d in ds)
+            if len(_crossing_classes(len(blocks), links)) > 1:
+                raise DiagramError("cutting-arc surgery of a prime diagram must stay connected")
+        inter.check_planar("the intermediate diagram")
+        (na, nb), (ia, ib) = self.circles(walk), self.circles(inter)
+        if ia != na + 1:
+            raise DiagramError("cutting-arc surgery must split the all-A circle")
+        if ib != nb + 1:
+            raise DiagramError("cutting-arc surgery must split the all-B circle")
+        if self.genus(inter) != g - 1:
+            raise DiagramError("cutting-arc surgery must lower the genus by one")
+        blocks, circles = self.circle_path(inter, blocks)
+        if not circles:
+            return [(walk.crossings, walk.mask, top)], []
+        face = self.face
+        merged_face = face[merged] - inter.base
+        cuts = []
+        for _, faces, darts in circles:
+            # Of each edge's two darts, the one whose face is black.
+            da, db = (
+                d if (signs[d >> 2] == signs[merged >> 2]) == bool((d ^ merged) & 1) else a for d, a in darts
+            )
+            black = face[da] - inter.base
+            if face[db] - inter.base != black or faces != (min(black, merged_face), max(black, merged_face)):
+                raise DiagramError("composite circle edges not found on its black face")
+            cuts.append((da, db) if self.position(inter, da) < self.position(inter, db) else (db, da))
+        # prefix[j + 1] holds blocks 0..j: one side of the circle after block j.
+        masks = [_dart_mask(b) for b in blocks]
+        prefix = list(accumulate(masks, or_, initial=0))
+        finals = []
+        attachings = []
+        pending = [(walk.mask, top, 0, len(blocks) - 1)]
+        while pending:
+            piece, piece_top, lo, hi = pending.pop()
+            if lo == hi:
+                if piece != masks[lo]:
+                    raise DiagramError("a split piece is not one block of the intermediate")
+                finals.append((blocks[lo], piece, piece_top))
+                continue
+            j = min(range(lo, hi), key=lambda j: circles[j][0])
+            att, parts = self.cut(piece, prefix[j + 1], piece_top, *cuts[j])
+            attachings.append(att)
+            for part, part_top in parts:
+                pending.append((part, part_top, lo, j) if part & prefix[j + 1] else (part, part_top, j + 1, hi))
+        total = sum(self.genera([crossings for crossings, _, _ in finals]))
+        if total != g - 1:
+            raise DiagramError(f"component genera sum to {total}, expected {g - 1}")
+        return finals, attachings
+
+    def factor_rung(self, walk: _Walk, top: int) -> tuple[AttachingEdge, list[tuple[list[int], int, int]]]:
+        """Split a composite piece along its circle of smallest edge pair,
+        surgering inside the circle's face of smaller id, as
+        ``composite_circles(d)[0]`` of the piece's diagram d names it.
+        Deleting the circle's two edges must leave two blocks, the sides;
+        each part is walked and must pass V - E + F = 2. Returns the
+        attaching record and the two parts, as (crossings, dart mask,
+        largest label), the one holding the piece's smallest crossing
+        first."""
+        labels, alpha, face = self.labels, self.alpha, self.face
+        # Each face pair's labels ascend, so its first two are its
+        # smallest edge pair.
+        faces, ds = min(walk.pairs.items(), key=lambda x: (labels[x[1][0]], labels[x[1][1]]))
+        darts = [x for d in ds[:2] for x in (d, alpha[d])]
+        sides = self.blocks(walk, set(darts))
+        u1, u2 = sorted((d for d in darts if face[d] - walk.base == faces[0]), key=lambda d: self.position(walk, d))
+        att, parts = self.cut(walk.mask, _dart_mask(sides[0]), top, u1, u2)
+        if len(sides) != 2:
+            raise DiagramError("a factor of a composite diagram is disconnected")
+        out = []
+        for crossings, (mask, part_top) in zip(sides, parts):
+            self.walk(crossings, mask).check_planar("a factor")
+            out.append((crossings, mask, part_top))
+        return att, out
+
+    def output(self, pieces: list[tuple[list[int], int, int]]) -> list[tuple[PlanarDiagram, list[int], int, int]]:
+        """Each piece with its diagram, built from its rows without
+        ``validate``; the diagram's own ``alpha`` checks that each of its
+        labels occurs exactly twice."""
+        out = []
+        for crossings, mask, top in pieces:
+            d = PlanarDiagram(self.rows(mask))
+            d.alpha  # every label of the piece exactly twice, by its own pairing
+            out.append((d, crossings, mask, top))
+        return out
 
 
 def split_step(diagram: PlanarDiagram) -> SplitStep:
@@ -488,88 +817,21 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
     black arc of each leaves prime components whose genera sum to one less
     than the input genus. All of that is asserted, not assumed.
 
-    The intermediate is built and validated. Its circles are read off its
-    blocks (``_circle_path``), which must form a path joined by one circle
-    per link: that is the concentricity check, and the blocks are the
-    final pieces. One dart table of the input carries every surgery of
-    the step: the cutting arc first, then the circles, one piece (a run
-    of blocks along the path) at a time, last piece first and in each
-    piece along its circle of smallest edge pair. Every record is written
-    in the numbering of the piece it cuts.
-
-    A surgery keeps the color of every corner, so the input's
-    checkerboard signs color the intermediate: the face right of dart d
-    is black iff ``(signs[d >> 2] > 0) == bool(d & 1)``, and the merged
-    face of the cutting arc is taken white. Each circle must join its
-    black face to the merged face; the input is prime, so no circle
-    misses the surgered region. So each black face belongs to one circle,
-    no other cut rewires it, and each cut is oriented by its darts'
-    positions in the intermediate's face walk. Each cut must disconnect
-    its piece, and each final piece must be exactly one block, so it is
-    connected. The final pieces are built without ``validate``: one pass
-    over the cut table (``_DartTable.genera``) gives each piece the Euler
-    test and its genus, the genera must sum to one less than the input
-    genus, and each piece's own ``alpha`` checks its labels.
+    The step is the ladder's cut rung (``_DartTable.surger_rung`` and
+    ``split_rung``) on a dart table of the input, colored by the input's
+    checkerboard signs. Every record is written in the numbering of the
+    piece it cuts. The intermediate is built from the table's rows once
+    the rung's checks have passed, and validated; the components are
+    built without ``validate``.
     """
-    _require_surgery_input(diagram)
-    g = diagram.genus
-    arc = outermost_bigon_arc(diagram)
-    table = _DartTable(diagram)
-    walk = diagram.faces[arc.face].darts
-    attaching = table.splice(table.everything, max(diagram.edge_labels), *(walk[p] for p in arc.positions))
-    intermediate = table.diagram(table.everything, allow_disconnected=True)
-    if not intermediate.is_connected:
-        raise DiagramError("cutting-arc surgery of a prime diagram must stay connected")
-    (na, nb), (ia, ib) = diagram.circle_counts, intermediate.circle_counts
-    if ia != na + 1:
-        raise DiagramError("cutting-arc surgery must split the all-A circle")
-    if ib != nb + 1:
-        raise DiagramError("cutting-arc surgery must split the all-B circle")
-    if intermediate.genus != g - 1:
-        raise DiagramError("cutting-arc surgery must lower the genus by one")
-    blocks, circles = _circle_path(intermediate)
-    if not circles:
-        return SplitStep(diagram, arc, intermediate, attaching, (intermediate,), ())
-    signs, edge_darts, fod = diagram.signs, intermediate.edge_darts, intermediate.face_of_dart
-    c, s = attaching.darts[0]  # the merged dart
-    merged = fod[4 * c + s]
-    cuts = []
-    for edges, faces in circles:
-        # Of each edge's two darts, the one whose face is black: a face
-        # has the merged face's color iff its dart's crossing sign and
-        # slot parity both agree with the merged dart's, or both differ.
-        darts = (edge_darts[e] for e in edges)
-        da, db = (d if (signs[d >> 2] == signs[c]) == bool((d ^ s) & 1) else a for d, a in darts)
-        black = fod[da]
-        if fod[db] != black or faces != (min(black, merged), max(black, merged)):
-            raise DiagramError("composite circle edges not found on its black face")
-        walk = intermediate.faces[black].darts
-        cuts.append((da, db) if walk.index(da) < walk.index(db) else (db, da))
-    # prefix[j + 1] holds blocks 0..j: one side of the circle after block j.
-    masks = [_dart_mask(b) for b in blocks]
-    prefix = list(accumulate(masks, or_, initial=0))
-    finals: list[PlanarDiagram] = []
-    used_attachings: list[AttachingEdge] = []
-    pending = [(table.everything, max(intermediate.edge_labels), 0, len(blocks) - 1)]
-    while pending:
-        piece, top, lo, hi = pending.pop()
-        if lo == hi:
-            if piece != masks[lo]:
-                raise DiagramError("a split piece is not one block of the intermediate")
-            finals.append(PlanarDiagram(table.rows(piece)))
-            continue
-        j = min(range(lo, hi), key=lambda j: circles[j][0])
-        att, parts = table.cut(piece, prefix[j + 1], top, *cuts[j])
-        used_attachings.append(att)
-        for part, part_top in parts:
-            pending.append((part, part_top, lo, j) if part & prefix[j + 1] else (part, part_top, j + 1, hi))
-    total = sum(table.genera(blocks))
-    if total != g - 1:
-        raise DiagramError(f"component genera sum to {total}, expected {g - 1}")
-    for f in finals:
-        f.alpha  # every label of the piece exactly twice, by its own pairing
-    finals.sort(key=lambda d: d.crossings)
-    return SplitStep(diagram, arc, intermediate, attaching, tuple(finals), tuple(used_attachings))
+    table, walk = _walked(diagram)
+    top = max(diagram.edge_labels)
+    arc, attaching, merged = table.surger_rung(walk, top)
+    rows = table.rows(table.everything)
+    finals, attachings = table.split_rung(walk, top + 2, merged, diagram.signs)
+    components = sorted((d for d, *_ in table.output(finals)), key=lambda d: d.crossings)
+    intermediate = PlanarDiagram.from_rows(rows)
+    return SplitStep(diagram, arc, intermediate, attaching, tuple(components), tuple(attachings))
 
 
 # -- the reduction ladder -----------------------------------------------------
@@ -621,42 +883,49 @@ class ReductionLadder:
         }
 
 
-def _factor_composite(diagram: PlanarDiagram) -> tuple[tuple[PlanarDiagram, ...], tuple[AttachingEdge, ...]]:
-    """Split a composite diagram along its circle of smallest edge pair,
-    surgering inside the circle's face of smaller id."""
-    circle = composite_circles(diagram)[0]
-    labels = diagram.flat_labels
-    u1, u2 = (d for d in diagram.faces[min(circle.faces)].darts if labels[d] in circle.edges)
-    table = _DartTable(diagram)
-    att, parts = table.cut(table.everything, _dart_mask(circle.sides[0]), max(diagram.edge_labels), u1, u2)
-    return tuple(table.diagram(part) for part, _ in parts), (att,)
-
-
 def reduce_ladder(diagram: PlanarDiagram) -> ReductionLadder:
     """Iterate genus-reduction splits until every component is alternating.
 
     For a prime connected input the number of cutting-arc steps equals the
     Turaev genus.
+
+    Every rung runs on one dart table of the input. A rung is a piece and
+    its largest label; its walk (alternation, face pairs, face walks, and
+    for a cut its circles) was made when the rung before it checked the
+    piece, and only the input is walked afresh. An alternating piece is a
+    terminal, a composite one is factored along its circle of smallest
+    edge pair (``_DartTable.factor_rung``), and a prime one is cut along
+    its outermost bigon arc and split (``surger_rung``, ``split_rung``).
+    The input's checkerboard signs are computed once: a surgery keeps the
+    color of every corner. The diagrams of the steps and terminals are
+    built from the table's rows without ``validate``.
     """
     if not diagram.is_connected:
         raise DiagramError("the reduction ladder starts from a connected diagram")
+    table = _DartTable(diagram)
+    crossings = range(diagram.n)
+    table.walk(crossings, table.everything).check_planar("the input")
+    signs = diagram.signs
     steps: list[LadderStep] = []
     terminals: list[PlanarDiagram] = []
-    pending = [diagram]
+    pending = [(diagram, crossings, table.everything, max(diagram.edge_labels))]
     while pending:
-        cur = pending.pop()
-        if is_alternating(cur):
+        cur, crossings, mask, top = pending.pop()
+        walk = table.walk(crossings, mask)
+        if not walk.spots:
             terminals.append(cur)
             continue
-        if not is_prime(cur):
-            pieces, atts = _factor_composite(cur)
-            steps.append(LadderStep("factor", cur, None, atts, pieces))
+        if walk.pairs:
+            att, parts = table.factor_rung(walk, top)
+            pieces = table.output(parts)
+            steps.append(LadderStep("factor", cur, None, (att,), tuple(d for d, *_ in pieces)))
             pending.extend(pieces)
             continue
-        step = split_step(cur)
-        steps.append(
-            LadderStep("cut", cur, step.arc, (step.attaching,) + step.component_attachings, step.components)
-        )
-        pending.extend(step.components)
+        arc, attaching, merged = table.surger_rung(walk, top)
+        finals, attachings = table.split_rung(walk, top + 2, merged, signs)
+        pieces = sorted(table.output(finals), key=lambda p: p[0].crossings)
+        results = tuple(d for d, *_ in pieces)
+        steps.append(LadderStep("cut", cur, arc, (attaching,) + tuple(attachings), results))
+        pending.extend(pieces)
     terminals.sort(key=lambda d: d.crossings)
     return ReductionLadder(diagram, tuple(steps), tuple(terminals))

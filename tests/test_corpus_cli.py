@@ -206,6 +206,22 @@ class TestCliReduce:
         written = json.loads((outdir / "g.ladder.json").read_text())
         assert written["cutSteps"] == 2
 
+    def test_out_names_collide(self, capsys, tmp_path):
+        # a/k.pd and b/k.pd would both write k.ladder.json: the batch is
+        # refused before any ladder is run or written.
+        paths = []
+        for sub, d in (("a", fixtures.gen2a()), ("b", fixtures.pseudotref())):
+            (tmp_path / sub).mkdir()
+            path = tmp_path / sub / "k.pd"
+            path.write_text(d.to_pd_text(), encoding="utf-8")
+            paths.append(str(path))
+        outdir = tmp_path / "ladders"
+        code, out, err = run_cli(capsys, "reduce", "--out", str(outdir), *paths)
+        assert code == 2
+        assert out == ""
+        assert paths[0] in err and paths[1] in err and "k.ladder.json" in err
+        assert not outdir.exists()
+
     def test_trefoil_empty_ladder(self, capsys, fixture_file):
         path = fixture_file("t.pd", fixtures.trefoil().to_pd_text())
         code, out, _ = run_cli(capsys, "reduce", path)

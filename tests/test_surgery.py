@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -44,6 +45,56 @@ SEEDED_PRIME_LADDERS_SHA256 = "8ff6dea6be97aa187ee2f3677f695b3b995a0341382206fc4
 
 def circle_counts(d):
     return state_circles(d, all_a(d)).n, state_circles(d, all_b(d)).n
+
+
+def splice_where(d, want, *, one_face):
+    """The first two darts of d, on distinct edges and on one face or on
+    two, whose splice leaves a diagram (built without validation) for
+    which ``want`` holds."""
+    top = max(d.edge_labels)
+    for u1, u2 in combinations(range(d.n_darts), 2):
+        if d.label(u1) == d.label(u2) or one_face != (d.face_of_dart[u1] == d.face_of_dart[u2]):
+            continue
+        table = _DartTable(d)
+        table.splice(table.everything, top, u1, u2)
+        if want(PlanarDiagram(table.rows(table.everything))):
+            return u1, u2
+    raise AssertionError("no such splice")
+
+
+def is_planar(d):
+    return d.is_connected and len(d.faces) == d.n + 2
+
+
+def corrupt_first_cut(monkeypatch, corrupt):
+    """Run ``corrupt(table, top)`` on the dart table right after the first
+    cutting-arc surgery, where ``top`` is the intermediate's largest
+    label. The first rung spans the whole table, so the table numbers its
+    darts as the input does."""
+    real = _DartTable.surger_rung
+
+    def corrupted(self, walk, top):
+        out = real(self, walk, top)
+        if walk.mask == self.everything:
+            corrupt(self, top + 2)
+        return out
+
+    monkeypatch.setattr(_DartTable, "surger_rung", corrupted)
+
+
+def first_arc_at(monkeypatch, u1, u2):
+    """Make the first cut of a run surger along darts u1, u2 of the input."""
+    real = _DartTable.outermost_arc
+
+    def moved(self, walk):
+        arc, d1, d2 = real(self, walk)
+        return (arc, u1, u2) if walk.mask == self.everything else (arc, d1, d2)
+
+    monkeypatch.setattr(_DartTable, "outermost_arc", moved)
+
+
+# Both public entry points run the same cut rung on a dart table.
+RUNS = pytest.mark.parametrize("run", [split_step, reduce_ladder], ids=["split_step", "reduce_ladder"])
 
 
 class TestFindCuttingArcs:
@@ -452,6 +503,71 @@ class TestSplitStepChecks:
         with pytest.raises(DiagramError, match="component genera sum to"):
             split_step(PSEUDOTREF)
 
+    def test_genus_sum_in_the_ladder(self, monkeypatch):
+        real = _DartTable.genera
+        monkeypatch.setattr(_DartTable, "genera", lambda self, pieces: [g + 1 for g in real(self, pieces)])
+        with pytest.raises(DiagramError, match="component genera sum to"):
+            reduce_ladder(fixtures.gen2a())
+
+    # The intermediate is never built; each check its ``validate`` made is
+    # a check on the table. The check that its genus is one lower follows
+    # from the two circle-count checks (same crossings, one more all-A and
+    # all-B circle), so no corrupted table reaches it.
+
+    @RUNS
+    def test_intermediate_connected(self, monkeypatch, run):
+        d = fixtures.gen2a()
+        inter = surger_cutting_arc(d, outermost_bigon_arc(d))[0]
+        u1, u2 = splice_where(inter, lambda r: not r.is_connected, one_face=True)
+        corrupt_first_cut(monkeypatch, lambda table, top: table.splice(table.everything, top, u1, u2))
+        with pytest.raises(DiagramError, match="cutting-arc surgery of a prime diagram must stay connected"):
+            run(d)
+
+    @RUNS
+    def test_intermediate_euler(self, monkeypatch, run):
+        d = fixtures.gen2a()
+        inter = surger_cutting_arc(d, outermost_bigon_arc(d))[0]
+        u1, u2 = splice_where(inter, lambda r: r.is_connected and not is_planar(r), one_face=False)
+        corrupt_first_cut(monkeypatch, lambda table, top: table.splice(table.everything, top, u1, u2))
+        with pytest.raises(DiagramError, match="rotation system is not planar: V-E\\+F = 0 on the intermediate"):
+            run(d)
+
+    @RUNS
+    def test_intermediate_edge_labels(self, monkeypatch, run):
+        def relabel(table, top):
+            table.labels[0] = top + 1  # one dart of an edge, not its partner
+
+        corrupt_first_cut(monkeypatch, relabel)
+        with pytest.raises(DiagramError, match="of one edge carry different labels"):
+            run(fixtures.gen2a())
+
+    @RUNS
+    def test_intermediate_all_a_count(self, monkeypatch, run):
+        d = fixtures.gen2b()
+        na, nb = d.circle_counts
+        want = lambda r: is_planar(r) and r.circle_counts[0] != na + 1  # noqa: E731
+        first_arc_at(monkeypatch, *splice_where(d, want, one_face=True))
+        with pytest.raises(DiagramError, match="cutting-arc surgery must split the all-A circle"):
+            run(d)
+
+    @RUNS
+    def test_intermediate_all_b_count(self, monkeypatch, run):
+        d = fixtures.gen2b()
+        na, nb = d.circle_counts
+        want = lambda r: is_planar(r) and r.circle_counts == (na + 1, nb - 1)  # noqa: E731
+        first_arc_at(monkeypatch, *splice_where(d, want, one_face=True))
+        with pytest.raises(DiagramError, match="cutting-arc surgery must split the all-B circle"):
+            run(d)
+
+    def test_factor_is_connected(self, monkeypatch):
+        # Deleting a circle's edges must leave two sides: a third block
+        # means a disconnected factor.
+        real = _DartTable.blocks
+        monkeypatch.setattr(_DartTable, "blocks", lambda self, walk, cut=None: real(self, walk, cut) + [[]])
+        d = connect_sum(PSEUDOTREF, 0, PSEUDOTREF, 0)
+        with pytest.raises(DiagramError, match="a factor of a composite diagram is disconnected"):
+            reduce_ladder(d)
+
     def test_piece_labels(self, monkeypatch):
         real = _DartTable.rows
 
@@ -515,6 +631,50 @@ class TestReduceLadder:
             digest.update(cli._dump(out).encode() + b"\n")
         assert steps == 184
         assert digest.hexdigest() == SEEDED_PRIME_LADDERS_SHA256
+
+
+class TestReduceAtScale:
+    """``turaev reduce`` worker JSON on two large seeded primes, pinned
+    from the ladder that built and validated every intermediate: a
+    240-crossing prime of genus 39 and a 120-crossing prime of genus 13
+    (about 0.8 s to generate both and reduce them)."""
+
+    @pytest.mark.parametrize(
+        "seed, n, genus, digest",
+        [
+            (3, 240, 39, "6a7441a883e2531a26f5e1ab4b531c68cce4c3a14535b0dca8e070ba0cf8d35b"),
+            (7, 120, 13, "500ffcec2776c97fecd1df5b8021a42d8fc7708f19acb2157819a9c9b1047aa7"),
+        ],
+    )
+    def test_ladder_pinned(self, bench_inputs, seed, n, genus, digest):
+        text = bench_inputs.pd_text(bench_inputs.prime_rows(random.Random(seed), n, None))
+        assert parse_pd(text).genus == genus
+        out = cli._reduce_worker(text)
+        assert out["cutSteps"] == genus
+        assert out["allTerminalsAlternating"] is True
+        assert all(is_alternating(parse_pd(t)) for t in out["terminals"])
+        assert hashlib.sha256(cli._dump(out).encode()).hexdigest() == digest
+
+
+class TestReduceBuilds:
+    def test_one_validated_build_per_input(self, monkeypatch, bench_inputs):
+        """Over seeded primes and one composite input, ``turaev reduce``
+        validates the parsed input and nothing else: every rung runs on
+        the input's dart table."""
+        rng = random.Random(22)
+        texts = [bench_inputs.pd_text(bench_inputs.prime_rows(rng, rng.randint(9, 60), None)) for _ in range(12)]
+        texts.append(connect_sum(fixtures.gen2a(), 0, PSEUDOTREF, 0).to_pd_text())
+        builds = []
+        real = PlanarDiagram.validate
+        monkeypatch.setattr(PlanarDiagram, "validate", lambda self, **kw: builds.append(self) or real(self, **kw))
+        steps = []
+        for text in texts:
+            builds.clear()
+            out = cli._reduce_worker(text)
+            steps.append(out["cutSteps"])
+            assert [b.to_pd_text() for b in builds] == [text]
+        assert sum(steps) > 20
+        assert out["steps"][0]["kind"] == "factor"
 
 
 class TestSplitStepTraces:
