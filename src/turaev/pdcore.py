@@ -24,13 +24,15 @@ A diagram is accepted as planar when every edge label occurs twice, the
 ``RotationSystem`` computes these once per diagram and keeps them. Every
 fact is read off two flat per-dart arrays, ``flat_labels`` (the label of
 dart d at index d) and ``alpha``, with sigma inlined as dart arithmetic:
-one first-occurrence pass gives ``alpha``, one phi walk the faces, a
-breadth-first search over ``alpha`` the components, and the slot parity
-``(d ^ alpha[d]) & 1`` the alternation. ``PlanarDiagram`` adds the planar
-facts (each edge's state circles, the circle counts, Turaev genus,
-signs, coloring, composite circles) the same way; one more search over
-``alpha`` flips the checkerboard sign across each non-alternating edge,
-and the coloring is read off the signs.
+one first-occurrence pass gives ``alpha``, and the slot parity
+``(d ^ alpha[d]) & 1`` the alternation. Faces, face pairs, components
+and state circles are read off one walk of the whole diagram by the
+orbit core ``_Orbits``, which also walks the reduction ladder's pieces
+in ``surgery``. ``PlanarDiagram`` adds the planar facts (each edge's
+state circles, the circle counts, Turaev genus, signs, coloring,
+composite circles); one search over ``alpha`` flips the checkerboard
+sign across each non-alternating edge, and the coloring is read off the
+signs.
 
 Text format: whitespace-separated terms ``X[a,b,c,d]`` with non-negative
 integer edge labels; the order of terms is the crossing index. JSON mirror:
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -137,8 +140,9 @@ class _cached_fact:
     dict: ``functools.cached_property`` without the lock it takes before
     Python 3.12, which made building and reading a one-crossing diagram,
     the reduction ladder's commonest piece, about a fifth dearer. A fact
-    is a pure function of an immutable diagram, so threads racing on it
-    at worst compute it twice."""
+    is a pure function of an immutable diagram, and the orbit passes that
+    facts share take turns on the diagram's core, so threads racing on a
+    fact at worst compute it twice."""
 
     def __init__(self, func):
         self.func = func
@@ -192,29 +196,206 @@ def _genus_of_counts(n: int, na: int, nb: int) -> int:
     return num // 2
 
 
-def _edge_circles(alpha: Sequence[int], labels: Sequence[int]) -> tuple[Mapping[int, int], Mapping[int, int]]:
-    """Per smoothing mask 1 and 3: label -> id of the orbit of
-    ``d -> alpha[d] ^ mask`` through the edge, ids in the order of the
-    orbits' smallest labels. An orbit meets each of its edges once, and
-    the reverse orbit of a circle meets the same edges."""
-    dart_of = dict(zip(labels, range(len(labels))))
-    order = sorted(dart_of)
-    out = []
-    for mask in (1, 3):
-        ids: dict[int, int] = {}
-        n_ids = 0
-        for lab in order:
-            if lab in ids:
-                continue
-            start = d = dart_of[lab]
-            while True:
-                ids[labels[d]] = n_ids
-                d = alpha[d] ^ mask
-                if d == start:
-                    break
-            n_ids += 1
-        out.append(MappingProxyType(ids))
-    return out[0], out[1]
+def _dart_mask(crossings) -> int:
+    """Bitmask with the four dart bits of each crossing set."""
+    mask = 0
+    for c in crossings:
+        mask |= 15 << 4 * c
+    return mask
+
+
+class _Walk:
+    """One piece of an orbit core as one walk of its phi orbits saw it.
+
+    The walk starts each face at the piece's smallest unwalked dart, in
+    ascending dart order, so face i of the piece, with core id
+    ``base + i`` and darts ``faces[i]`` in walk order, is face i of
+    ``PlanarDiagram.from_rows`` on the piece's rows. ``spots`` lists the
+    non-alternating darts in walk order, face by face. The rest is filled
+    when first asked for: ``pairs`` by ``_Orbits.face_pairs``, and
+    ``counts`` (|s_A|, |s_B|) and ``bases``, per smoothing the core id of
+    the circle of smallest label, by ``_Orbits.circles``.
+    """
+
+    __slots__ = ("crossings", "mask", "base", "faces", "spots", "pairs", "counts", "bases")
+
+    def __init__(self, crossings, mask, base, faces, spots):
+        self.crossings = crossings
+        self.mask = mask
+        self.base = base
+        self.faces = faces
+        self.spots = spots
+        self.pairs = None
+        self.counts = None
+        self.bases = None
+
+    def check_planar(self, where: str) -> None:
+        """V - E + F = 2: a piece of n crossings has n + 2 faces."""
+        chi = len(self.faces) - len(self.crossings)
+        if chi != 2:
+            raise DiagramError(f"rotation system is not planar: V-E+F = {chi} on {where}")
+
+
+class _Orbits:
+    """The one orbit core: per-dart labels and ``alpha``, and the walks of
+    their orbits.
+
+    A piece is a set of crossings, ascending, held also as a dart bitmask
+    (four bits per crossing); a whole diagram is the piece ``everything``.
+    A piece's crossings are numbered as ``PlanarDiagram.from_rows`` would
+    number the piece's own rows, in ascending order. Faces are the orbits
+    of ``phi``, all-A and all-B state circles those of ``d -> alpha[d] ^ 1``
+    and ``^ 3``, and blocks the crossing classes of a breadth-first search
+    over ``alpha``.
+
+    Walks write their per-dart facts (face, all-A and all-B circle) and
+    per-crossing block into core-wide arrays under ids drawn from a
+    counter that only grows, so a walk tells its own marks by id and
+    never clears the arrays. A walk is kept in ``walked`` and returned
+    again for its piece. A diagram's core takes the diagram's own tuples
+    and walks the whole diagram first, so its face ids are the diagram's;
+    ``surgery._DartTable`` copies them into lists and rewires them.
+    """
+
+    def __init__(self, labels: Sequence[int], alpha: Sequence[int], n: int):
+        self.labels = labels
+        self.alpha = alpha
+        self.everything = (1 << 4 * n) - 1
+        self.face = [-1] * (4 * n)
+        self.circle = ([-1] * (4 * n), [-1] * (4 * n))  # all-A, all-B
+        self.block = [-1] * n
+        self.ids = 0  # the next unused face, circle or block id
+        self.walked: dict[int, _Walk] = {}
+        # A diagram's facts read its core from any thread; the passes that
+        # draw ids and mark shared arrays after the first walk take turns.
+        self.lock = threading.Lock()
+
+    def walk(self, crossings, mask: int | None = None) -> _Walk:
+        """The walk of the piece with these ascending crossings: one pass
+        over its phi orbits gives its faces and spots, and checks that both
+        darts of every edge carry one label."""
+        if mask is None:
+            mask = _dart_mask(crossings)
+        kept = self.walked.get(mask)
+        if kept is not None:
+            return kept
+        labels, alpha, face = self.labels, self.alpha, self.face
+        base = f = self.ids
+        faces: list[list[int]] = []
+        spots: list[int] = []
+        for c in crossings:
+            for start in range(4 * c, 4 * c + 4):
+                if face[start] >= base:
+                    continue
+                darts = []
+                d = start
+                while face[d] < base:
+                    face[d] = f
+                    darts.append(d)
+                    a = alpha[d]
+                    if labels[a] != labels[d]:
+                        raise DiagramError(f"darts {d} and {a} of one edge carry different labels")
+                    if not (d ^ a) & 1:
+                        spots.append(d)
+                    d = (a & ~3) | ((a + 1) & 3)
+                faces.append(darts)
+                f += 1
+        self.ids = f
+        walk = self.walked[mask] = _Walk(crossings, mask, base, faces, spots)
+        return walk
+
+    def face_pairs(self, walk: _Walk) -> dict[tuple[int, int], list[int]]:
+        """Each pair of faces of the piece (piece ids, ascending) sharing
+        two or more edges -> one dart of each of those edges, by ascending
+        label, in sorted order; kept in ``walk.pairs``."""
+        if walk.pairs is None:
+            face, alpha, base = self.face, self.alpha, walk.base
+            pairs: dict[tuple[int, int], list[int]] = {}
+            # Per earlier face: the last face whose darts met it across an
+            # edge, and that edge's dart. An edge between two faces is met
+            # from the later face, so a face pair sharing two edges is met
+            # twice from one face.
+            met = [-1] * len(walk.faces)
+            first = [0] * len(met)
+            for f, darts in enumerate(walk.faces):
+                for d in darts:
+                    g = face[alpha[d]] - base
+                    if 0 <= g < f:  # the edge's other dart lies in an earlier face
+                        if met[g] == f:
+                            pairs.setdefault((g, f), [first[g]]).append(d)
+                        else:
+                            met[g] = f
+                            first[g] = d
+            by_label = self.labels.__getitem__
+            walk.pairs = {key: sorted(ds, key=by_label) for key, ds in sorted(pairs.items())}
+        return walk.pairs
+
+    def position(self, walk: _Walk, d: int) -> int:
+        """Dart d's position in the walk of its face, from the face's
+        first dart, as ``PlanarDiagram.faces`` lists it."""
+        return walk.faces[self.face[d] - walk.base].index(d)
+
+    def circles(self, walk: _Walk) -> tuple[int, int]:
+        """(|s_A|, |s_B|) of the piece, with ``walk.bases`` filled.
+
+        The A-smoothing pairs slot s with s ^ 1 and the B-smoothing with
+        s ^ 3, so ``d -> alpha[d] ^ 1`` (``^ 3``) walks a circle one edge
+        per step; its reverse orbit is the alpha image, marked on the way,
+        so each circle is walked once. Both darts of an edge carry its
+        circle's id. The walks start from the piece's darts in label
+        order, so the circles of a smoothing get consecutive ids in the
+        order of their smallest labels, as ``states.state_circles``
+        numbers them.
+        """
+        with self.lock:
+            if walk.counts is None:
+                alpha, k = self.alpha, self.ids
+                starts = sorted(chain.from_iterable(walk.faces), key=self.labels.__getitem__)
+                counts, bases = [], []
+                for mask, circle in zip((1, 3), self.circle):
+                    base = k
+                    for start in starts:
+                        if circle[start] >= base:
+                            continue
+                        d = start
+                        while circle[d] < base:
+                            a = alpha[d]
+                            circle[d] = circle[a] = k
+                            d = a ^ mask
+                        k += 1
+                    counts.append(k - base)
+                    bases.append(base)
+                self.ids = k
+                walk.counts, walk.bases = (counts[0], counts[1]), (bases[0], bases[1])
+        return walk.counts
+
+    def blocks(self, walk: _Walk, cut=None) -> list[list[int]]:
+        """The crossing classes of the piece once the edges of the darts
+        in ``cut`` are deleted (by default every face-pair edge), each
+        ascending, in order of their smallest crossing; a breadth-first
+        search over ``alpha`` marks each crossing's block."""
+        with self.lock:
+            alpha, block = self.alpha, self.block
+            if cut is None:
+                cut = {x for ds in self.face_pairs(walk).values() for d in ds for x in (d, alpha[d])}
+            base = b = self.ids
+            out = []
+            for root in walk.crossings:
+                if block[root] >= base:
+                    continue
+                block[root] = b
+                comp = [root]
+                for c in comp:
+                    for d in range(4 * c, 4 * c + 4):
+                        x = alpha[d] >> 2
+                        if block[x] < base and d not in cut:
+                            block[x] = b
+                            comp.append(x)
+                comp.sort()
+                out.append(comp)
+                b += 1
+            self.ids = b
+            return out
 
 
 @dataclass(frozen=True)
@@ -226,8 +407,9 @@ class RotationSystem:
     derived fact is computed on first use and kept; cached values are
     tuples, frozen dataclasses or read-only mappings. The core facts read
     the flat per-dart arrays ``flat_labels`` and ``alpha`` with the dart
-    arithmetic inlined. Subclasses differ in ``validate``: the Euler
-    condition their embedding must meet.
+    arithmetic inlined; faces, face pairs and components read one
+    ``_Orbits`` walk of the whole diagram. Subclasses differ in
+    ``validate``: the Euler condition their embedding must meet.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -298,33 +480,28 @@ class RotationSystem:
         return MappingProxyType({labels[d]: bool((d ^ a) & 1) for d, a in enumerate(self.alpha) if d < a})
 
     @_cached_fact
-    def _phi_orbits(self) -> tuple[tuple[Face, ...], tuple[int, ...]]:
-        """The faces and each dart's face id, from one walk of the phi
-        orbits in order of their smallest dart."""
-        alpha = self.alpha
-        fod = [-1] * len(alpha)
-        faces: list[Face] = []
-        for start in range(len(alpha)):
-            if fod[start] >= 0:
-                continue
-            f = len(faces)
-            walk = []
-            d = start
-            while fod[d] < 0:
-                fod[d] = f
-                walk.append(d)
-                d = alpha[d]
-                d = (d & ~3) | ((d + 1) & 3)
-            faces.append(Face(f, tuple(walk)))
-        return tuple(faces), tuple(fod)
+    def _orbits(self) -> _Orbits:
+        """The diagram's own orbit core, on which the whole diagram is
+        walked first, so the core's face ids are the diagram's."""
+        core = _Orbits(self.flat_labels, self.alpha, len(self.crossings))
+        core.walk(range(len(self.crossings)), core.everything)
+        return core
+
+    @_cached_fact
+    def _walk(self) -> _Walk:
+        """The walk of the whole diagram, which every face, face-pair,
+        component and state-circle fact reads."""
+        core = self._orbits
+        return core.walked[core.everything]
 
     @_cached_fact
     def faces(self) -> tuple[Face, ...]:
-        return self._phi_orbits[0]
+        """The phi orbits in order of their smallest dart."""
+        return tuple(Face(f, tuple(darts)) for f, darts in enumerate(self._walk.faces))
 
     @_cached_fact
     def face_of_dart(self) -> tuple[int, ...]:
-        return self._phi_orbits[1]
+        return tuple(self._orbits.face)
 
     def face_at_corner(self, crossing: int, corner: int) -> int:
         """Face occupying the corner between slots corner, corner+1."""
@@ -336,38 +513,15 @@ class RotationSystem:
         between those two faces, for the face pairs sharing two or more
         edges, in sorted order. A loop through both faces crossing two of
         the edges meets the diagram exactly there."""
-        fod = self.face_of_dart
-        shared: dict[tuple[int, int], list[int]] = {}
-        for lab, (d1, d2) in self.edge_darts.items():
-            f1, f2 = fod[d1], fod[d2]
-            if f1 != f2:
-                shared.setdefault((f1, f2) if f1 < f2 else (f2, f1), []).append(lab)
-        return MappingProxyType(
-            {pair: tuple(sorted(labs)) for pair, labs in sorted(shared.items()) if len(labs) > 1}
-        )
+        labels, pairs = self.flat_labels, self._orbits.face_pairs(self._walk)
+        return MappingProxyType({pair: tuple(labels[d] for d in ds) for pair, ds in pairs.items()})
 
     @_cached_fact
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the 4-valent graph, as ascending
-        crossing sets in order of their smallest crossing, each found by
-        a breadth-first search over ``alpha``."""
-        alpha = self.alpha
-        seen = bytearray(len(alpha) >> 2)
-        out = []
-        for root in range(len(seen)):
-            if seen[root]:
-                continue
-            seen[root] = 1
-            comp = [root]
-            for c in comp:
-                for a in alpha[4 * c : 4 * c + 4]:
-                    a >>= 2
-                    if not seen[a]:
-                        seen[a] = 1
-                        comp.append(a)
-            comp.sort()
-            out.append(tuple(comp))
-        return tuple(out)
+        crossing sets in order of their smallest crossing: the blocks of
+        the whole diagram with no edge deleted."""
+        return tuple(map(tuple, self._orbits.blocks(self._walk, ())))
 
     @property
     def is_connected(self) -> bool:
@@ -392,8 +546,8 @@ class PlanarDiagram(RotationSystem):
     Besides the rotation-system facts it caches each edge's all-A and
     all-B state circle, the circle counts, the Turaev genus, the default
     checkerboard coloring, the crossing signs and the composite circles.
-    The circle ids, and so the counts and the genus, come from dart orbits
-    without tracing the circles.
+    The circle ids, and so the counts and the genus, come from the circle
+    pass of the diagram's walk without tracing the circles.
     """
 
     @staticmethod
@@ -411,8 +565,8 @@ class PlanarDiagram(RotationSystem):
             for c in comp:
                 comp_of[c] = i
         fcount = [0] * len(comps)
-        for f in self.faces:
-            fcount[comp_of[f.darts[0] >> 2]] += 1
+        for darts in self._walk.faces:
+            fcount[comp_of[darts[0] >> 2]] += 1
         for i, comp in enumerate(comps):
             chi = len(comp) - 2 * len(comp) + fcount[i]
             if chi != 2:
@@ -421,39 +575,21 @@ class PlanarDiagram(RotationSystem):
     @_cached_fact
     def edge_circles(self) -> tuple[Mapping[int, int], Mapping[int, int]]:
         """label -> id of the all-A, and of the all-B, state circle through
-        the edge.
-
-        The A-smoothing pairs slot s with s ^ 1 and the B-smoothing with
-        s ^ 3, so ``d -> alpha[d] ^ 1`` (``^ 3``) walks an all-A (all-B)
-        circle dart by dart, one edge per step. Circles are numbered by
-        their smallest edge label, as ``states.state_circles`` numbers
-        them. No circle is built.
+        the edge, numbered by ``_Orbits.circles`` on the diagram's walk in
+        the order of the circles' smallest labels. No circle is built.
         """
-        return _edge_circles(self.alpha, self.flat_labels)
+        core, walk = self._orbits, self._walk
+        core.circles(walk)
+        return tuple(  # type: ignore[return-value]
+            MappingProxyType(dict(zip(self.flat_labels, map(base.__rsub__, circle))))
+            for circle, base in zip(core.circle, walk.bases)
+        )
 
     @_cached_fact
     def circle_counts(self) -> tuple[int, int]:
-        """(|s_A|, |s_B|), the numbers of all-A and all-B state circles.
-
-        A circle is two orbits of ``d -> alpha[d] ^ 1`` (``^ 3``), one per
-        direction, so each count is half an orbit count, taken on a
-        bytearray of visited darts without labelling the circles.
-        """
-        alpha = self.alpha
-        counts = []
-        for mask in (1, 3):
-            seen = bytearray(len(alpha))
-            orbits = 0
-            for start in range(len(alpha)):
-                if seen[start]:
-                    continue
-                orbits += 1
-                d = start
-                while not seen[d]:
-                    seen[d] = 1
-                    d = alpha[d] ^ mask
-            counts.append(orbits >> 1)
-        return counts[0], counts[1]
+        """(|s_A|, |s_B|), the numbers of all-A and all-B state circles,
+        counted by ``_Orbits.circles`` on the diagram's walk."""
+        return self._orbits.circles(self._walk)
 
     @_cached_fact
     def genus(self) -> int:
@@ -496,7 +632,7 @@ class PlanarDiagram(RotationSystem):
         black, read off ``signs``: the face right of dart d is black
         exactly when ``(signs[d >> 2] > 0) == bool(d & 1)``."""
         signs = self.signs
-        first = (f.darts[0] for f in self.faces)
+        first = (darts[0] for darts in self._walk.faces)
         return Coloring(tuple(BLACK if (signs[d >> 2] > 0) == bool(d & 1) else WHITE for d in first))
 
     @_cached_fact
@@ -515,7 +651,8 @@ class PlanarDiagram(RotationSystem):
         return self.to_pd_text()
 
 
-_TERM_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
+# ASCII only: ``\d`` would otherwise match every Unicode decimal digit.
+_TERM_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]", re.ASCII)
 
 
 def read_rows(text: str) -> list[tuple[int, ...]]:
@@ -526,7 +663,7 @@ def read_rows(text: str) -> list[tuple[int, ...]]:
     if stripped.startswith("{"):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer over Python's digit limit
             raise ParseError(f"bad JSON: {exc}") from exc
         rows = data.get("crossings") if isinstance(data, dict) else None
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -542,7 +679,10 @@ def read_rows(text: str) -> list[tuple[int, ...]]:
     for m in _TERM_RE.finditer(stripped):
         if stripped[pos:m.start()].strip():
             raise ParseError(f"unexpected text {stripped[pos:m.start()].strip()!r} in PD code")
-        rows.append(tuple(int(g) for g in m.groups()))
+        try:
+            rows.append(tuple(int(g) for g in m.groups()))
+        except ValueError as exc:  # a label over Python's integer digit limit
+            raise ParseError(f"bad label: {exc}") from exc
         pos = m.end()
     if stripped[pos:].strip():
         raise ParseError(f"unexpected text {stripped[pos:].strip()!r} in PD code")
@@ -644,24 +784,23 @@ def composite_circles(diagram: PlanarDiagram) -> tuple[CompositeCircle, ...]:
 
 
 def _composite_circles(diagram: PlanarDiagram) -> tuple[CompositeCircle, ...]:
-    """The circles' sides come from one union-find over the diagram minus
-    every face-pair edge: the classes (blocks) and those edges form a
-    graph in which each circle's two edges separate the blocks of one side
-    from the other."""
+    """The circles' sides come from the blocks of the diagram's walk, its
+    crossing classes once every face-pair edge is deleted: the blocks and
+    those edges form a graph in which each circle's two edges separate the
+    blocks of one side from the other."""
     if not diagram.is_connected:
         raise DiagramError("composite circles are defined for connected diagrams")
     pairs = diagram.face_pair_edges
     if not pairs:
         return ()
     ed = diagram.edge_darts
-    cut = {lab for labs in pairs.values() for lab in labs}
-    blocks = _crossing_classes(diagram.n, ((d1 >> 2, d2 >> 2) for lab, (d1, d2) in ed.items() if lab not in cut))
+    blocks = diagram._orbits.blocks(diagram._walk)
     block_of = [0] * diagram.n
     for b, group in enumerate(blocks):
         for c in group:
             block_of[c] = b
     links: list[list[tuple[int, int]]] = [[] for _ in blocks]
-    for lab in cut:
+    for lab in {lab for labs in pairs.values() for lab in labs}:
         b1, b2 = block_of[ed[lab][0] >> 2], block_of[ed[lab][1] >> 2]
         links[b1].append((lab, b2))
         links[b2].append((lab, b1))

@@ -78,13 +78,13 @@ class SurfaceDiagram(RotationSystem):
 
     def validate(self) -> None:
         self._validate_graph(allow_disconnected=False)
-        v, e, f = self.n, 2 * self.n, len(self.faces)
+        v, e, f = self.n, 2 * self.n, len(self._walk.faces)
         if (2 - v + e - f) % 2:
             raise DiagramError("odd Euler defect; rotation system corrupted")
 
     @property
     def genus(self) -> int:
-        return (2 - self.n + 2 * self.n - len(self.faces)) // 2
+        return (2 - self.n + 2 * self.n - len(self._walk.faces)) // 2
 
     @cached_property
     def edge_index(self) -> Mapping[int, int]:

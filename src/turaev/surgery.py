@@ -17,12 +17,16 @@ bigon of that kind would exhibit a composite circle. The deterministic
 Every surgery here, an arc surgery, its inverse, a connected sum and the
 cuts along composite circles, is one splice of a ``_DartTable``: the
 labels and the edge pairing ``alpha`` of the darts, rewired in place.
+The table is ``pdcore``'s orbit core ``_Orbits``, whose walks every
+diagram reads its own facts off, with the splices, cuts and rungs added;
+``find_cutting_arcs`` and ``outermost_bigon_arc`` read the diagram's own
+walk.
 
 The reduction ladder runs on one dart table built from its input. A rung
 is a piece of the table (its crossings and their dart mask) and its
 largest label. What a rung reads, its alternation, face pairs, face
 walks and state circles, comes from walks of the piece's orbits
-(``_DartTable.walk``) numbered as ``PlanarDiagram.from_rows`` would
+(``_Orbits.walk``) numbered as ``PlanarDiagram.from_rows`` would
 number the piece's own rows, so no piece is rebuilt or revalidated. The
 intermediate diagram of a cut is never built: its checks (connected,
 V - E + F = 2, both darts of each edge on one label, one more all-A and
@@ -49,7 +53,10 @@ from .pdcore import (
     PlanarDiagram,
     Refused,
     _crossing_classes,
+    _dart_mask,
     _genus_of_counts,
+    _Orbits,
+    _Walk,
     composite_circles,
     is_alternating,
     is_prime,
@@ -83,8 +90,8 @@ class AttachingEdge:
 
 def find_cutting_arcs(diagram: PlanarDiagram) -> tuple[CuttingArc, ...]:
     """All cutting arcs of a prime connected non-alternating diagram."""
-    table, walk = _walked(diagram)
-    arcs = table.cutting_arcs(walk)
+    _require_surgery_input(diagram)
+    arcs = _cutting_arcs(diagram._orbits, diagram._walk)
     return tuple(sorted(arcs, key=lambda arc: (arc.alpha_circle, arc.face, arc.positions)))
 
 
@@ -95,15 +102,8 @@ def outermost_bigon_arc(diagram: PlanarDiagram) -> CuttingArc:
     between an all-A and an all-B arc; the one whose A-circle has the
     smallest id is preferred, then smallest face id and positions.
     """
-    table, walk = _walked(diagram)
-    return table.outermost_arc(walk)[0]
-
-
-def _walked(diagram: PlanarDiagram) -> tuple[_DartTable, _Walk]:
-    """A dart table of a surgery input, and the walk of all of it."""
     _require_surgery_input(diagram)
-    table = _DartTable(diagram)
-    return table, table.walk(range(diagram.n), table.everything)
+    return _outermost_arc(diagram._orbits, diagram._walk)[0]
 
 
 def _require_surgery_input(diagram: PlanarDiagram) -> None:
@@ -271,14 +271,6 @@ def _crossing_mask(crossings) -> int:
     return mask
 
 
-def _dart_mask(crossings) -> int:
-    """Bitmask with the four dart bits of each crossing set."""
-    mask = 0
-    for c in crossings:
-        mask |= 15 << 4 * c
-    return mask
-
-
 def _circle_path(diagram: PlanarDiagram) -> tuple[list[list[int]], list[tuple[tuple[int, ...], tuple[int, int]]]]:
     """The blocks of a connected diagram in path order, and for the j-th
     link of the path the composite circle joining blocks j and j + 1, as
@@ -320,68 +312,82 @@ def _block_path(n_blocks: int, ends: list[tuple[tuple[int, int], ...]]) -> tuple
     return block_order, circle_order[1:]
 
 
-class _Walk:
-    """One piece of a dart table as one walk of its phi orbits saw it.
-
-    The walk starts each face at the piece's smallest unwalked dart, in
-    ascending dart order, so face i of the piece, with table id
-    ``base + i`` and first dart ``starts[i]``, is face i of
-    ``PlanarDiagram.from_rows`` on the piece's rows, walked from the same
-    dart. ``spots`` lists the non-alternating darts in walk order, face by
-    face; ``pairs`` maps each pair of faces (piece ids, ascending) sharing
-    two or more edges to one dart of each of those edges, by ascending
-    label. ``counts`` (|s_A|, |s_B|) and ``least``, per smoothing the
-    table id of the first circle and each circle's least label, are
-    filled when ``_DartTable.circles`` first walks the piece's all-A and
-    all-B circles.
-    """
-
-    __slots__ = ("crossings", "mask", "base", "starts", "spots", "pairs", "counts", "least")
-
-    def __init__(self, crossings, mask, base, starts, spots, pairs):
-        self.crossings = crossings
-        self.mask = mask
-        self.base = base
-        self.starts = starts
-        self.spots = spots
-        self.pairs = pairs
-        self.counts = None
-        self.least = None
-
-    def check_planar(self, where: str) -> None:
-        """V - E + F = 2: a piece of n crossings has n + 2 faces."""
-        chi = len(self.starts) - len(self.crossings)
-        if chi != 2:
-            raise DiagramError(f"rotation system is not planar: V-E+F = {chi} on {where}")
+# -- arcs ---------------------------------------------------------------------
+# The arc finders only read an orbit core, so they run on a diagram's own
+# core and walk as well as on a piece of a dart table.
 
 
-class _DartTable:
-    """The labels and edge pairing of one diagram's darts, surgered in place.
+def _spot_runs(core: _Orbits, walk: _Walk):
+    """Each face of the piece with non-alternating incidences, as its
+    piece id and those incidences' darts in walk order."""
+    for f, run in groupby(walk.spots, key=core.face.__getitem__):
+        yield f - walk.base, list(run)
 
-    A piece is a set of crossings, ascending, held also as a dart bitmask
-    (four bits per crossing). The table numbers a piece's crossings as
-    ``PlanarDiagram.from_rows`` would number the piece's own rows, in
-    ascending order. ``splice`` is the one place where a surgery rewires
-    darts.
 
-    Walks write their per-dart facts (face, all-A and all-B circle) and
-    per-crossing block into table-wide arrays under ids drawn from a
-    counter that only grows, so a walk tells its own marks by id and
-    never clears the arrays. Pieces split from one another never share a
-    dart, so a piece's marks stay valid until the piece is spliced; its
-    walk is kept in ``walked`` until then.
+def _cutting_arcs(core: _Orbits, walk: _Walk) -> list[CuttingArc]:
+    """Per pair of non-alternating incidences on distinct edges of one
+    face, when the two edges share both their all-A and their all-B
+    circle, the arc joining them, with the circle ids of
+    ``PlanarDiagram.edge_circles``."""
+    core.circles(walk)
+    labels, (ca, cb), (base_a, base_b) = core.labels, core.circle, walk.bases
+    out = []
+    for f, run in _spot_runs(core, walk):
+        for d1, d2 in combinations(run, 2):
+            if labels[d1] != labels[d2] and ca[d1] == ca[d2] and cb[d1] == cb[d2]:
+                positions = (core.position(walk, d1), core.position(walk, d2))
+                out.append(CuttingArc(f, positions, (labels[d1], labels[d2]), ca[d1] - base_a, cb[d1] - base_b))
+    return out
+
+
+def _outermost_arc(core: _Orbits, walk: _Walk) -> tuple[CuttingArc, int, int]:
+    """The arc of ``outermost_bigon_arc`` on the piece, with the darts of
+    its two edges on its face, in walk order."""
+    core.circles(walk)
+    labels, (ca, cb), (base_a, base_b) = core.labels, core.circle, walk.bases
+    best = None
+    for f, run in _spot_runs(core, walk):
+        if len(run) != 2:
+            continue
+        d1, d2 = run
+        if labels[d1] == labels[d2]:
+            continue
+        if ca[d1] != ca[d2] or cb[d1] != cb[d2]:
+            # The hugging arcs of a two-incidence face always share
+            # their circles; anything else indicates corrupted input.
+            raise DiagramError(f"bigon face {f} has mismatched state circles")
+        # A face holds one candidate, so no two tie on the face.
+        key = (ca[d1], f)
+        if best is None or key < best[0]:
+            best = (key, f, d1, d2)
+    if best is None:
+        raise DiagramError(
+            "no empty bigon face found; a prime connected non-alternating "
+            "diagram always has one, so the input is corrupted"
+        )
+    _, f, d1, d2 = best
+    arc = CuttingArc(
+        f,
+        (core.position(walk, d1), core.position(walk, d2)),
+        (labels[d1], labels[d2]),
+        ca[d1] - base_a,
+        cb[d1] - base_b,
+    )
+    return arc, d1, d2
+
+
+class _DartTable(_Orbits):
+    """The orbit core of one diagram's darts, surgered in place.
+
+    The table copies the diagram's labels and ``alpha`` into lists, which
+    ``splice``, the one place where a surgery rewires darts, changes.
+    Pieces split from one another never share a dart, so a piece's marks
+    stay valid until the piece is spliced; its walk is kept in ``walked``
+    until then.
     """
 
     def __init__(self, diagram: PlanarDiagram):
-        self.labels = list(diagram.flat_labels)
-        self.alpha = list(diagram.alpha)
-        self.everything = (1 << diagram.n_darts) - 1
-        n = diagram.n_darts
-        self.face = [-1] * n
-        self.circle = ([-1] * n, [-1] * n)  # all-A, all-B
-        self.block = [-1] * diagram.n
-        self.ids = 0  # the next unused face, circle or block id
-        self.walked: dict[int, _Walk] = {}
+        super().__init__(list(diagram.flat_labels), list(diagram.alpha), diagram.n)
 
     # -- surgery ------------------------------------------------------------
 
@@ -445,101 +451,6 @@ class _DartTable:
 
     # -- walks --------------------------------------------------------------
 
-    def walk(self, crossings, mask: int | None = None) -> _Walk:
-        """The walk of the piece with these ascending crossings: one pass
-        over its phi orbits gives its faces, spots and face pairs, and
-        checks that both darts of every edge carry one label. A walk is
-        kept, and returned again, until the piece is spliced."""
-        if mask is None:
-            mask = _dart_mask(crossings)
-        kept = self.walked.get(mask)
-        if kept is not None:
-            return kept
-        labels, alpha, face = self.labels, self.alpha, self.face
-        base = f = self.ids
-        starts: list[int] = []
-        spots: list[int] = []
-        pairs: dict[tuple[int, int], list[int]] = {}
-        # Per earlier face of the piece: the last face whose walk met it
-        # across an edge, and that edge's dart. An edge between two faces
-        # is met when the later face is walked, so a face pair sharing two
-        # edges is met twice in one walk.
-        met = [-1] * (4 * len(crossings))
-        first = [0] * len(met)
-        for c in crossings:
-            for start in range(4 * c, 4 * c + 4):
-                if face[start] >= base:
-                    continue
-                starts.append(start)
-                d = start
-                while face[d] < base:
-                    face[d] = f
-                    a = alpha[d]
-                    if labels[a] != labels[d]:
-                        raise DiagramError(f"darts {d} and {a} of one edge carry different labels")
-                    if not (d ^ a) & 1:
-                        spots.append(d)
-                    g = face[a] - base
-                    if 0 <= g < f - base:  # the edge's other dart, walked in an earlier face
-                        if met[g] == f:
-                            pairs.setdefault((g, f - base), [first[g]]).append(d)
-                        else:
-                            met[g] = f
-                            first[g] = d
-                    d = (a & ~3) | ((a + 1) & 3)
-                f += 1
-        self.ids = f
-        by_label = labels.__getitem__
-        pairs = {key: sorted(ds, key=by_label) for key, ds in sorted(pairs.items())}
-        walk = self.walked[mask] = _Walk(crossings, mask, base, starts, spots, pairs)
-        return walk
-
-    def position(self, walk: _Walk, d: int) -> int:
-        """Dart d's position in the walk of its face, from the face's
-        first dart, as ``PlanarDiagram.faces`` lists it."""
-        alpha, x, i = self.alpha, walk.starts[self.face[d] - walk.base], 0
-        while x != d:
-            a = alpha[x]
-            x = (a & ~3) | ((a + 1) & 3)
-            i += 1
-        return i
-
-    def circles(self, walk: _Walk) -> tuple[int, int]:
-        """(|s_A|, |s_B|) of the piece, with ``walk.least`` filled.
-
-        The A-smoothing pairs slot s with s ^ 1 and the B-smoothing with
-        s ^ 3, so ``d -> alpha[d] ^ 1`` (``^ 3``) walks a circle one edge
-        per step; its reverse orbit is the alpha image, marked on the way,
-        so each circle is walked once. Both darts of an edge carry its
-        circle's id.
-        """
-        if walk.counts is None:
-            labels, alpha = self.labels, self.alpha
-            k = self.ids
-            counts, mins = [], []
-            for mask, circle in zip((1, 3), self.circle):
-                base = k
-                smallest = []
-                for c in walk.crossings:
-                    for start in range(4 * c, 4 * c + 4):
-                        if circle[start] >= base:
-                            continue
-                        m = labels[start]
-                        d = start
-                        while circle[d] < base:
-                            a = alpha[d]
-                            circle[d] = circle[a] = k
-                            if labels[d] < m:
-                                m = labels[d]
-                            d = a ^ mask
-                        smallest.append(m)
-                        k += 1
-                counts.append(k - base)
-                mins.append((base, smallest))
-            self.ids = k
-            walk.counts, walk.least = (counts[0], counts[1]), (mins[0], mins[1])
-        return walk.counts
-
     def genus(self, walk: _Walk) -> int:
         return _genus_of_counts(len(walk.crossings), *self.circles(walk))
 
@@ -553,33 +464,6 @@ class _DartTable:
             walk = self.walk(piece)
             walk.check_planar("a split piece")
             out.append(self.genus(walk))
-        return out
-
-    def blocks(self, walk: _Walk, cut: set[int] | None = None) -> list[list[int]]:
-        """The crossing classes of the piece once the edges of the darts
-        in ``cut`` are deleted (by default every face-pair edge), each
-        ascending, in order of their smallest crossing; a breadth-first
-        search over ``alpha`` marks each crossing's block."""
-        alpha, block = self.alpha, self.block
-        if cut is None:
-            cut = {x for ds in walk.pairs.values() for d in ds for x in (d, alpha[d])}
-        base = b = self.ids
-        out = []
-        for root in walk.crossings:
-            if block[root] >= base:
-                continue
-            block[root] = b
-            comp = [root]
-            for c in comp:
-                for d in range(4 * c, 4 * c + 4):
-                    x = alpha[d] >> 2
-                    if block[x] < base and d not in cut:
-                        block[x] = b
-                        comp.append(x)
-            comp.sort()
-            out.append(comp)
-            b += 1
-        self.ids = b
         return out
 
     def circle_path(self, walk: _Walk, blocks: list[list[int]]) -> tuple[list[list[int]], list]:
@@ -600,7 +484,7 @@ class _DartTable:
         labels, alpha, block = self.labels, self.alpha, self.block
         # The blocks of one ``blocks`` call carry consecutive ids.
         circles = []
-        for faces, ds in walk.pairs.items():
+        for faces, ds in self.face_pairs(walk).items():
             if len(ds) != 2:
                 raise DiagramError("composite circles are not concentric")
             darts = tuple((d, alpha[d]) if d < alpha[d] else (alpha[d], d) for d in ds)
@@ -610,73 +494,9 @@ class _DartTable:
         block_order, circle_order = _block_path(len(blocks), ends)
         return [blocks[b] for b in block_order], [circles[i] for i in circle_order]
 
-    # -- arcs ---------------------------------------------------------------
-
-    def _spot_runs(self, walk: _Walk):
-        """Each face of the piece with non-alternating incidences, as its
-        piece id and those incidences' darts in walk order."""
-        for f, run in groupby(walk.spots, key=self.face.__getitem__):
-            yield f - walk.base, list(run)
-
-    def cutting_arcs(self, walk: _Walk) -> list[CuttingArc]:
-        """Per pair of non-alternating incidences on distinct edges of one
-        face, when the two edges share both their all-A and their all-B
-        circle, the arc joining them. Circle ids count the circles of
-        smaller least label, as ``PlanarDiagram.edge_circles`` numbers
-        them."""
-        self.circles(walk)
-        labels, (ca, cb) = self.labels, self.circle
-        rank_a, rank_b = (
-            {base + k: r for r, k in enumerate(sorted(range(len(mins)), key=mins.__getitem__))}
-            for base, mins in walk.least
-        )
-        out = []
-        for f, run in self._spot_runs(walk):
-            for d1, d2 in combinations(run, 2):
-                if labels[d1] != labels[d2] and ca[d1] == ca[d2] and cb[d1] == cb[d2]:
-                    positions = (self.position(walk, d1), self.position(walk, d2))
-                    out.append(CuttingArc(f, positions, (labels[d1], labels[d2]), rank_a[ca[d1]], rank_b[cb[d1]]))
-        return out
-
-    def outermost_arc(self, walk: _Walk) -> tuple[CuttingArc, int, int]:
-        """The arc of ``outermost_bigon_arc`` on the piece, with the darts
-        of its two edges on its face, in walk order."""
-        self.circles(walk)
-        labels, (ca, cb) = self.labels, self.circle
-        (base_a, mins_a), (base_b, mins_b) = walk.least
-        best = None
-        for f, run in self._spot_runs(walk):
-            if len(run) != 2:
-                continue
-            d1, d2 = run
-            if labels[d1] == labels[d2]:
-                continue
-            if ca[d1] != ca[d2] or cb[d1] != cb[d2]:
-                # The hugging arcs of a two-incidence face always share
-                # their circles; anything else indicates corrupted input.
-                raise DiagramError(f"bigon face {f} has mismatched state circles")
-            # A circle's least label orders the circles as their ids do;
-            # a face holds one candidate, so no two tie on the face.
-            key = (mins_a[ca[d1] - base_a], f)
-            if best is None or key < best[0]:
-                best = (key, f, d1, d2)
-        if best is None:
-            raise DiagramError(
-                "no empty bigon face found; a prime connected non-alternating "
-                "diagram always has one, so the input is corrupted"
-            )
-        _, f, d1, d2 = best
-        least_a, least_b = mins_a[ca[d1] - base_a], mins_b[cb[d1] - base_b]
-        arc = CuttingArc(
-            f,
-            (self.position(walk, d1), self.position(walk, d2)),
-            (labels[d1], labels[d2]),
-            sum(m < least_a for m in mins_a),
-            sum(m < least_b for m in mins_b),
-        )
-        return arc, d1, d2
-
     # -- rungs --------------------------------------------------------------
+
+    outermost_arc = _outermost_arc  # the arc a cut rung surgers along
 
     def surger_rung(self, walk: _Walk, top: int) -> tuple[CuttingArc, AttachingEdge, int]:
         """The cutting-arc surgery of a prime non-alternating piece along
@@ -723,7 +543,8 @@ class _DartTable:
         blocks = self.blocks(inter)
         if len(blocks) > 1:
             block, alpha, base = self.block, self.alpha, self.block[blocks[0][0]]
-            links = ((block[d >> 2] - base, block[alpha[d] >> 2] - base) for ds in inter.pairs.values() for d in ds)
+            pairs = self.face_pairs(inter)
+            links = ((block[d >> 2] - base, block[alpha[d] >> 2] - base) for ds in pairs.values() for d in ds)
             if len(_crossing_classes(len(blocks), links)) > 1:
                 raise DiagramError("cutting-arc surgery of a prime diagram must stay connected")
         inter.check_planar("the intermediate diagram")
@@ -784,7 +605,7 @@ class _DartTable:
         labels, alpha, face = self.labels, self.alpha, self.face
         # Each face pair's labels ascend, so its first two are its
         # smallest edge pair.
-        faces, ds = min(walk.pairs.items(), key=lambda x: (labels[x[1][0]], labels[x[1][1]]))
+        faces, ds = min(self.face_pairs(walk).items(), key=lambda x: (labels[x[1][0]], labels[x[1][1]]))
         darts = [x for d in ds[:2] for x in (d, alpha[d])]
         sides = self.blocks(walk, set(darts))
         u1, u2 = sorted((d for d in darts if face[d] - walk.base == faces[0]), key=lambda d: self.position(walk, d))
@@ -824,7 +645,9 @@ def split_step(diagram: PlanarDiagram) -> SplitStep:
     the rung's checks have passed, and validated; the components are
     built without ``validate``.
     """
-    table, walk = _walked(diagram)
+    _require_surgery_input(diagram)
+    table = _DartTable(diagram)
+    walk = table.walk(range(diagram.n), table.everything)
     top = max(diagram.edge_labels)
     arc, attaching, merged = table.surger_rung(walk, top)
     rows = table.rows(table.everything)
@@ -915,7 +738,7 @@ def reduce_ladder(diagram: PlanarDiagram) -> ReductionLadder:
         if not walk.spots:
             terminals.append(cur)
             continue
-        if walk.pairs:
+        if table.face_pairs(walk):
             att, parts = table.factor_rung(walk, top)
             pieces = table.output(parts)
             steps.append(LadderStep("factor", cur, None, (att,), tuple(d for d, *_ in pieces)))

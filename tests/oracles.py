@@ -353,13 +353,56 @@ def components_by_union_find(diagram):
     return tuple(tuple(g) for g in sorted(groups.values()))
 
 
+def face_pair_edges_by_faces(diagram):
+    """(f1, f2) with f1 < f2 -> the ascending labels of the edges between
+    those faces, for the pairs sharing two or more edges, in sorted order:
+    each edge's two faces read off ``faces_by_sigma_walk``.
+
+    The reference for ``RotationSystem.face_pair_edges``, which meets the
+    pairs face by face along the faces of the diagram's walk."""
+    _, face_of_dart = faces_by_sigma_walk(diagram)
+    shared = {}
+    for lab, (d1, d2) in edge_darts_by_label(diagram).items():
+        f1, f2 = sorted((face_of_dart[d1], face_of_dart[d2]))
+        if f1 != f2:
+            shared.setdefault((f1, f2), []).append(lab)
+    return {pair: tuple(sorted(labs)) for pair, labs in sorted(shared.items()) if len(labs) > 1}
+
+
+def edge_circles_by_orbits(diagram):
+    """Per smoothing mask 1 (all-A) and 3 (all-B): label -> id of the orbit
+    of ``d -> alpha[d] ^ mask`` through the edge, ids in the order of the
+    orbits' smallest labels, each orbit started at its smallest label. An
+    orbit meets each of its edges once, and the reverse orbit of a circle
+    meets the same edges.
+
+    The reference for ``PlanarDiagram.edge_circles``, which numbers the
+    circles of the diagram's walk by their least labels."""
+    alpha = alpha_by_label_lists(diagram)
+    labels = [diagram.label(d) for d in range(diagram.n_darts)]
+    dart_of = dict(zip(labels, range(len(labels))))
+    out = []
+    for mask in (1, 3):
+        ids = {}
+        n_ids = 0
+        for lab in sorted(dart_of):
+            if lab in ids:
+                continue
+            start = d = dart_of[lab]
+            while True:
+                ids[labels[d]] = n_ids
+                d = alpha[d] ^ mask
+                if d == start:
+                    break
+            n_ids += 1
+        out.append(ids)
+    return out[0], out[1]
+
+
 def circle_counts_by_edge_circles(diagram):
     """(|s_A|, |s_B|) as one more than the largest circle id the orbit
-    numbering of ``pdcore._edge_circles`` gives any edge label."""
-    from turaev.pdcore import _edge_circles
-
-    labels = [diagram.label(d) for d in range(diagram.n_darts)]
-    a_ids, b_ids = _edge_circles(alpha_by_label_lists(diagram), labels)
+    numbering of ``edge_circles_by_orbits`` gives any edge label."""
+    a_ids, b_ids = edge_circles_by_orbits(diagram)
     return max(a_ids.values()) + 1, max(b_ids.values()) + 1
 
 
@@ -462,14 +505,15 @@ def composite_circles_by_cut_pairs(diagram):
     classes.
 
     The reference for ``pdcore.composite_circles``, which takes every face
-    pair's edge pair as composite and reads all sides off one union-find.
+    pair's edge pair as composite and reads all sides off the blocks of
+    the diagram's walk.
     """
     from itertools import combinations
 
     from turaev.pdcore import CompositeCircle
 
     out = []
-    for faces, labs in diagram.face_pair_edges.items():
+    for faces, labs in face_pair_edges_by_faces(diagram).items():
         for e1, e2 in combinations(labs, 2):
             uf = UnionFind(diagram.n)
             for lab, (d1, d2) in diagram.edge_darts.items():

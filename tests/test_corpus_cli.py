@@ -130,6 +130,17 @@ class TestCliInfo:
         assert code == 2
         assert "error" in json.loads(out)
 
+    def test_label_over_the_digit_limit_keeps_the_batch(self, capsys, fixture_file):
+        # Python's int() refuses strings of more than 4300 digits.
+        ok = fixture_file("p.pd", fixtures.pseudotref().to_pd_text())
+        big = fixture_file("big.pd", "X[%s,%s,1,1]" % ("7" * 5000, "7" * 5000))
+        code = cli.main(["info", ok, big])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 2
+        assert [r["file"] for r in records] == [ok, big]
+        assert records[0]["genus"] == 1 and "error" not in records[0]
+        assert set(records[1]) == {"error", "file"}
+
     def test_text_format(self, capsys, fixture_file):
         path = fixture_file("t.pd", fixtures.trefoil().to_pd_text())
         code, out, _ = run_cli(capsys, "info", path, "--format", "text")

@@ -28,6 +28,8 @@ KINK = "X[1,1,2,2]"
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 PSEUDOTREF = "X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]"
 CLASP2 = "X[1,2,3,4] X[3,2,1,4]"
+# A label of 5000 digits, past the 4300 that Python's int() converts.
+HUGE = "7" * 5000
 
 
 class TestParse:
@@ -356,6 +358,9 @@ class TestReadRows:
             "[[1, 1, 2, 2]]",
             "X[1,1,2,2] junk",
             "   ",
+            pytest.param("X[%s,%s,1,1]" % (HUGE, HUGE), id="text-label-over-the-digit-limit"),
+            pytest.param('{"crossings": [[%s, %s, 1, 1]]}' % (HUGE, HUGE), id="json-label-over-the-digit-limit"),
+            pytest.param("X[\u0661,\u0661,\u0662,\u0662]", id="non-ascii-digits"),
         ],
     )
     def test_malformed_input_raises_parse_error(self, text):
@@ -415,6 +420,8 @@ class TestFlatCore:
         assert d.components == oracles.components_by_union_find(d), d.crossings
         # Key order too: callers iterate these mappings.
         assert list(d.edge_darts.items()) == list(oracles.edge_darts_by_label(d).items()), d.crossings
+        face_pairs = oracles.face_pair_edges_by_faces(d)
+        assert list(d.face_pair_edges.items()) == list(face_pairs.items()), d.crossings
         alternation = oracles.alternation_by_label(d)
         assert list(d.alternation.items()) == list(alternation.items()), d.crossings
         assert pdcore.is_alternating(d) == all(alternation.values()), d.crossings
@@ -426,6 +433,7 @@ class TestFlatCore:
             for x in (d, mirror(d)):
                 cls.assert_core_matches(x)
                 assert x.circle_counts == oracles.circle_counts_by_edge_circles(x), x.crossings
+                assert x.edge_circles == oracles.edge_circles_by_orbits(x), x.crossings
                 if x.is_connected:
                     assert x.genus == oracles.genus_by_edge_circles(x), x.crossings
                 else:
