@@ -25,7 +25,6 @@ from .pdcore import (
     Refused,
     is_alternating,
     is_prime,
-    non_alternating_edges,
 )
 from .states import INADEQUATE, loop_crossings, turaev_genus
 from .tangles import RingPayload, assemble_ring, classify_genus_one, decompose
@@ -313,18 +312,16 @@ def rii_cancel(cycle: CycleOfTangles) -> CycleOfTangles:
 
 
 def is_almost_alternating(diagram: PlanarDiagram) -> bool:
-    """True when one over/under switch makes every edge alternating.
-
-    Switching crossing c flips the alternation of exactly the edges with
-    one end at c (a kink's edge, with both ends there, keeps it), so the
-    switch works when those edges are the non-alternating ones.
+    """True when one over/under switch makes every edge alternating: a
+    switch flips its crossing's checkerboard sign, and a connected diagram
+    is alternating exactly when all its signs agree.
     """
     if not diagram.is_connected:
         raise DiagramError("defined for connected diagrams")
-    bad = set(non_alternating_edges(diagram))
-    if not bad:
+    plus = sum(s > 0 for s in diagram.signs.values())
+    if plus in (0, diagram.n):
         raise Refused("diagram is already alternating")
-    return any({lab for lab in row if row.count(lab) == 1} == bad for row in diagram.crossings)
+    return 1 in (plus, diagram.n - plus)
 
 
 def almost_alternating_form(

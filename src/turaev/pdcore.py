@@ -663,7 +663,7 @@ def read_rows(text: str) -> list[tuple[int, ...]]:
     if stripped.startswith("{"):
         try:
             data = json.loads(stripped)
-        except ValueError as exc:  # JSONDecodeError, or an integer over Python's digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, a huge integer, or deep nesting
             raise ParseError(f"bad JSON: {exc}") from exc
         rows = data.get("crossings") if isinstance(data, dict) else None
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):

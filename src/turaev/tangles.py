@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import permutations
 
 from .pdcore import (
     DiagramError,
@@ -516,12 +515,15 @@ class Genus2Descriptor:
     ``junction_words`` lists, per junction tangle and boundary circle, the
     cyclic sequence of leg annotations ("r", ribbon id, end) or ("s",
     single edge id, 0); a junction's valence is half its annotations, and
-    it is a disc when it has one circle. ``canonical`` encodes the whole
-    structure, ribbon parities included, and is invariant under relabeling
-    and mirror; it is built on first read, since its search is factorial
-    in the number of junctions. ``case_label`` is the genus-two case 1-8
-    that ``casetable`` reads off this structure, or None before
-    classification.
+    it is a disc when it has one circle. ``case_label`` is the genus-two
+    case 1-8 that ``casetable`` reads off this structure, or None before
+    classification. ``canonical``, invariant under relabeling and mirror,
+    is the least breadth-first walk over the junctions' boundary circles
+    from any root leg, one direction for all: a connection is named when
+    first seen, and the circle of its other end is entered there. Each
+    circle reads ``[j<junction>v<valence><d|a>:<symbols>]`` (d a disc), a
+    symbol ``r<k>p<parity>`` or ``s<k>``, all numbered by first appearance;
+    a cycle of n 2-tangles reads ``cycle[n=<n>,parity=<n mod 2>]``.
     """
 
     valences: tuple[int, ...]
@@ -638,59 +640,58 @@ def _walk_ribbon(dec, splits, start_jid, start_pair, rib_id) -> Ribbon:
 
 
 def _canonical_junction_structure(words, ribbons) -> str:
-    """Canonical string of the junction structure.
+    """``Genus2Descriptor.canonical``: the least walk from any root leg.
 
-    Minimizes over junction orderings, per-circle rotations, and a global
-    reflection, renaming connections by first appearance. Ribbon parities
-    ride along; each junction records its valence, half its legs, and
-    whether it is a disc, that is has one boundary circle.
+    A ribbon end fills two neighboring legs and collapses to one symbol,
+    so every connection occurs twice. A dry queue, at the start or between
+    the circles of an annulus, branches into every entry of every unentered
+    circle of a junction already read; only the walks with the least
+    string so far read on.
     """
     parity = {r.id: r.parity for r in ribbons}
+    circles = []  # (junction, valence and disc tag, collapsed symbols)
+    for j, word in enumerate(words):
+        head = f"v{sum(map(len, word)) // 2}{'d' if len(word) == 1 else 'a'}"
+        for w in word:
+            syms = [a[:2] for i, a in enumerate(w) if a[0] == "s" or a != w[i - 1]]
+            circles.append((j, head, syms or [w[0][:2]]))
+    at: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for c, (_, _, syms) in enumerate(circles):
+        for i, key in enumerate(syms):
+            at.setdefault(key, []).append((c, i))
+    if any(len(pair) != 2 for pair in at.values()):
+        raise DiagramError("a junction connection does not occur exactly twice")
+    other = {pair[k]: pair[1 - k] for pair in at.values() for k in (0, 1)}
 
-    def encode(order: tuple[int, ...], reflect: bool) -> str:
-        # rename: (kind, ident) -> (tag, first end seen); a ribbon's two
-        # ends are interchangeable, so the first one encountered is end 0.
-        rename: dict[tuple[str, int], tuple[str, int]] = {}
-        pieces = []
-        for j in order:
-            circle_words = [list(w) for w in words[j]]
-            if reflect:
-                circle_words = [list(reversed(w)) for w in circle_words]
-            vertex_pieces = []
-            for word in circle_words:
-                best_piece = None
-                best_state = None
-                for rot in range(len(word)):
-                    trial = dict(rename)
-                    syms = []
-                    for kind, ident, end in word[rot:] + word[:rot]:
-                        key = (kind, ident)
-                        if key not in trial:
-                            tag = f"{kind}{sum(1 for k in trial if k[0] == kind)}"
-                            trial[key] = (tag, end)
-                        tag, first_end = trial[key]
-                        if kind == "r":
-                            syms.append(f"{tag}.{0 if end == first_end else 1}p{parity[ident]}")
-                        else:
-                            syms.append(tag)
-                    piece = ",".join(syms)
-                    if best_piece is None or piece < best_piece:
-                        best_piece, best_state = piece, trial
-                rename = best_state  # type: ignore[assignment]
-                vertex_pieces.append(best_piece)
-            valence = sum(map(len, words[j])) // 2
-            disc = "d" if len(words[j]) == 1 else "a"
-            pieces.append(f"[v{valence}{disc}:{'|'.join(sorted(vertex_pieces))}]")
-        return "".join(pieces)
+    def read(walk) -> list:
+        step, names, junctions, seen, queue = walk
+        if not queue:
+            free = [c for c, (j, *_) in enumerate(circles) if c not in seen and (j in junctions or not seen)]
+            if not free:
+                raise DiagramError("the junction walk misses a circle")
+            entries = [(c, i) for c in free for i in range(len(circles[c][2]))]
+            return [w for e in entries for w in read((step, dict(names), dict(junctions), seen | {e[0]}, [e]))]
+        c, start = queue.pop(0)
+        j, head, syms = circles[c]
+        out = []
+        for i in [(start + step * k) % len(syms) for k in range(len(syms))]:
+            key = syms[i]
+            if key not in names:
+                names[key] = len(names)
+                if other[c, i][0] not in seen:
+                    seen.add(other[c, i][0])
+                    queue.append(other[c, i])
+            out.append(f"{key[0]}{names[key]}" + (f"p{parity[key[1]]}" if key[0] == "r" else ""))
+        junctions.setdefault(j, len(junctions))
+        return [(f"[j{junctions[j]}{head}:{','.join(out)}]", walk)]
 
-    best = None
-    for order in permutations(range(len(words))):
-        for reflect in (False, True):
-            enc = encode(order, reflect)
-            if best is None or enc < best:
-                best = enc
-    assert best is not None
-    return best
+    walks = [(step, {}, {}, set(), []) for step in (1, -1)]
+    pieces = []
+    for _ in circles:
+        ways = [way for walk in walks for way in read(walk)]
+        pieces.append(min(piece for piece, _ in ways))
+        walks = [walk for piece, walk in ways if piece == pieces[-1]]
+    return "".join(pieces)
 
 
 def classify_genus_two(diagram: PlanarDiagram) -> Genus2Descriptor:

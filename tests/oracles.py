@@ -630,7 +630,8 @@ def split_by_sequential_peel(intermediate, attaching):
 
 
 # The genus-two case labels as first catalogued: canonical junction
-# structures observed for each family, keyed by their descriptor string.
+# structures observed for each family, keyed by their string under
+# ``canonical_by_junction_orderings``.
 _GENUS_TWO_TABLE = {
     "one-valence-4": {
         "[v2d:r0.0p0,r0.0p0,s0,s1][v4d:r0.1p0,r0.1p0,s1,r1.0p1,r1.0p1,r1.1p1,r1.1p1,s0]": 3,
@@ -643,6 +644,68 @@ _GENUS_TWO_TABLE = {
         "[v3d:s0,s1,s2,s3,s4,s5][v3d:s0,s5,s4,s3,s2,s1]": 2,
     },
 }
+
+
+def canonical_by_junction_orderings(words, ribbons) -> str:
+    """Canonical string of the junction structure.
+
+    Minimizes over junction orderings, per-circle rotations, and a global
+    reflection, renaming connections by first appearance. Ribbon parities
+    ride along; each junction records its valence, half its legs, and
+    whether it is a disc, that is has one boundary circle.
+
+    The reference for ``tangles._canonical_junction_structure``, which
+    walks from every root leg instead; the search is factorial in the
+    number of junctions, and each circle's rotation is picked greedily.
+    """
+    from itertools import permutations
+
+    parity = {r.id: r.parity for r in ribbons}
+
+    def encode(order: tuple[int, ...], reflect: bool) -> str:
+        # rename: (kind, ident) -> (tag, first end seen); a ribbon's two
+        # ends are interchangeable, so the first one encountered is end 0.
+        rename: dict[tuple[str, int], tuple[str, int]] = {}
+        pieces = []
+        for j in order:
+            circle_words = [list(w) for w in words[j]]
+            if reflect:
+                circle_words = [list(reversed(w)) for w in circle_words]
+            vertex_pieces = []
+            for word in circle_words:
+                best_piece = None
+                best_state = None
+                for rot in range(len(word)):
+                    trial = dict(rename)
+                    syms = []
+                    for kind, ident, end in word[rot:] + word[:rot]:
+                        key = (kind, ident)
+                        if key not in trial:
+                            tag = f"{kind}{sum(1 for k in trial if k[0] == kind)}"
+                            trial[key] = (tag, end)
+                        tag, first_end = trial[key]
+                        if kind == "r":
+                            syms.append(f"{tag}.{0 if end == first_end else 1}p{parity[ident]}")
+                        else:
+                            syms.append(tag)
+                    piece = ",".join(syms)
+                    if best_piece is None or piece < best_piece:
+                        best_piece, best_state = piece, trial
+                rename = best_state  # type: ignore[assignment]
+                vertex_pieces.append(best_piece)
+            valence = sum(map(len, words[j])) // 2
+            disc = "d" if len(words[j]) == 1 else "a"
+            pieces.append(f"[v{valence}{disc}:{'|'.join(sorted(vertex_pieces))}]")
+        return "".join(pieces)
+
+    best = None
+    for order in permutations(range(len(words))):
+        for reflect in (False, True):
+            enc = encode(order, reflect)
+            if best is None or enc < best:
+                best = enc
+    assert best is not None
+    return best
 
 
 def genus_two_case_by_table(diagram) -> int | None:
@@ -670,7 +733,8 @@ def genus_two_case_by_table(diagram) -> int | None:
         family = "two-valence-3"
     else:
         return None
-    return _GENUS_TWO_TABLE[family].get(descriptor.canonical)
+    key = canonical_by_junction_orderings(descriptor.junction_words, descriptor.ribbons)
+    return _GENUS_TWO_TABLE[family].get(key)
 
 
 def _adjacent_in_circle(circle, pair) -> bool:

@@ -141,6 +141,17 @@ class TestCliInfo:
         assert records[0]["genus"] == 1 and "error" not in records[0]
         assert set(records[1]) == {"error", "file"}
 
+    def test_deeply_nested_json_keeps_the_batch(self, capsys, fixture_file):
+        # The JSON decoder gives up on nesting past the recursion limit.
+        ok = fixture_file("p.pd", fixtures.pseudotref().to_pd_text())
+        deep = fixture_file("deep.json", '{"crossings": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        code = cli.main(["info", ok, deep])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 2
+        assert [r["file"] for r in records] == [ok, deep]
+        assert records[0]["genus"] == 1 and "error" not in records[0]
+        assert set(records[1]) == {"error", "file"}
+
     def test_text_format(self, capsys, fixture_file):
         path = fixture_file("t.pd", fixtures.trefoil().to_pd_text())
         code, out, _ = run_cli(capsys, "info", path, "--format", "text")
@@ -421,7 +432,7 @@ class TestCliBatch:
 GOLDEN_FIXTURES = ("kink", "trefoil", "pseudotref", "clasp2", "connsum", "cycle4", "aa6", "gen2a", "gen2b")
 GOLDEN_DIGESTS = {
     "info": "cce62da5d63159db6b2afb5c95b3f2921b59cc5c18e2a8e48df3d1f5489d39f1",
-    "classify": "d9680beb2464b13f978f00ba0c12fe26e4b400e6e693056f8c5b3d213675d478",
+    "classify": "e16bddbf5c62398130e4cf1b7559d426748623feaee27656b8389a4e43d428b9",
     "reduce": "ec07f5d2136999f6f3f509dabad0f706b65f2bb4ffd7d7a69c219cd244ba7998",
     "check --from-turaev": "9368fa08210d6e1a83b0a250ee4cf6e270463b0b90cc7e1aacf3836cf2b826ed",
 }
@@ -528,9 +539,8 @@ class TestRender:
         assert "ribbon" in dot
 
     def test_collapsed_ribbons_skip_the_canonical_string(self, monkeypatch):
-        # A 30-crossing genus-5 prime with eight junctions; the canonical
-        # string's search is factorial in the junction count, and drawing
-        # never reads it.
+        # A 30-crossing genus-5 prime with eight junctions; drawing never
+        # reads the canonical junction string.
         import xml.etree.ElementTree as ET
 
         def encoder(*args):

@@ -160,6 +160,14 @@ class TestIsAlmostAlternating:
             checked += 1
         assert checked > 500
 
+    def test_genus_at_most_dealternating_number(self, corpus_facts):
+        # g_T <= dalt: a switch moves s_A and s_B by at most one each, so
+        # the genus by at most one, and switching every minority-sign
+        # crossing gives an alternating diagram, of genus 0.
+        for rows, _, _, genus, _, _, _ in corpus_facts:
+            plus = sum(s > 0 for s in PlanarDiagram(rows).signs.values())
+            assert genus <= min(plus, len(rows) - plus), rows
+
 
 class TestPipeline:
     def test_pseudotref_already_reduced(self):

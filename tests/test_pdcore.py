@@ -30,6 +30,8 @@ PSEUDOTREF = "X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]"
 CLASP2 = "X[1,2,3,4] X[3,2,1,4]"
 # A label of 5000 digits, past the 4300 that Python's int() converts.
 HUGE = "7" * 5000
+# JSON nested deeper than the decoder's recursion limit.
+DEEP = '{"crossings": ' + "[" * 200_000 + "]" * 200_000 + "}"
 
 
 class TestParse:
@@ -361,6 +363,7 @@ class TestReadRows:
             pytest.param("X[%s,%s,1,1]" % (HUGE, HUGE), id="text-label-over-the-digit-limit"),
             pytest.param('{"crossings": [[%s, %s, 1, 1]]}' % (HUGE, HUGE), id="json-label-over-the-digit-limit"),
             pytest.param("X[\u0661,\u0661,\u0662,\u0662]", id="non-ascii-digits"),
+            pytest.param(DEEP, id="json-nested-past-the-recursion-limit"),
         ],
     )
     def test_malformed_input_raises_parse_error(self, text):

@@ -50,6 +50,13 @@ THETA_DIRECT_PAIR = (
     "X[11,12,13,15] X[3,2,16,17] X[8,18,17,16] X[7,15,14,18]"
 )
 
+# A nine-crossing genus-three prime whose junction string, under a greedy
+# choice of each circle's rotation, came out different for its mirror.
+GENUS3_NINE = (
+    "X[1,2,3,4] X[1,4,5,6] X[2,6,7,8] X[3,8,9,10] X[5,10,11,12] "
+    "X[9,7,13,14] X[12,11,15,16] X[17,13,16,18] X[15,14,17,18]"
+)
+
 
 def genus_one_outcome(classify, d: PlanarDiagram):
     """(order, junctions, white_faces) of the recognized cycle, or None
@@ -291,6 +298,14 @@ class TestRibbons:
         with pytest.raises(Refused):
             contract_ribbons(decompose(TREFOIL))
 
+    def test_canonical_invariant_at_genus_three(self):
+        d = parse_pd(GENUS3_NINE)
+        assert (d.n, turaev_genus(d)) == (9, 3)
+        base = contract_ribbons(decompose(d)).canonical
+        rng = random.Random(24)
+        for x in [mirror(d)] + [random_relabel(y, rng) for y in (d, mirror(d)) for _ in range(4)]:
+            assert contract_ribbons(decompose(x)).canonical == base
+
 
 GENUS_TWO_FIXTURES = {
     "gen2a": fixtures.gen2a,
@@ -305,9 +320,8 @@ GENUS_TWO_FIXTURES = {
 }
 
 # sha256 of the classify JSON lines of the first 60 genus-two primes drawn
-# by ``bench/inputs.prime_rows`` with cap 2 from seed 20261019, computed
-# before the chain walker moved from edge labels to leg darts.
-GENUS_TWO_CLASSIFY_SHA256 = "201a379f5bc8eabfea58b0eb62a053d3caa7c459ebe88cfd0f353ce7f5dd69bf"
+# by ``bench/inputs.prime_rows`` with cap 2 from seed 20261019.
+GENUS_TWO_CLASSIFY_SHA256 = "4665c48b162ef258c91c60d1da8a3974d4834406760ebbf9123d9acf44e4e238"
 
 
 class TestClassifyGenusTwo:
@@ -333,6 +347,21 @@ class TestClassifyGenusTwo:
             seen += 1
             digest.update(cli._dump(cli._classify_worker(bench_inputs.pd_text(rows))).encode() + b"\n")
         assert digest.hexdigest() == GENUS_TWO_CLASSIFY_SHA256
+
+    def test_canonical_classes_match_the_ordering_search(self, corpus_facts, bench_inputs):
+        diagrams = [PlanarDiagram(rows) for rows, _, _, g, prime, _, _ in corpus_facts if prime and g == 2]
+        rng = random.Random(20261019)
+        for _ in range(200):
+            rows = bench_inputs.prime_rows(rng, rng.randrange(8, 25), 2)
+            if bench_inputs.genus_rows(rows) == 2:
+                diagrams.append(PlanarDiagram.from_rows(rows))
+        named = [GENUS_TWO_FIXTURES[name]() for name in sorted(GENUS_TWO_FIXTURES)]
+        pairs = set()
+        for d in diagrams + named + [mirror(d) for d in named]:
+            desc = contract_ribbons(decompose(d))
+            pairs.add((desc.canonical, oracles.canonical_by_junction_orderings(desc.junction_words, desc.ribbons)))
+        # Equal walk strings exactly when equal ordering-search strings.
+        assert len({walk for walk, _ in pairs}) == len({search for _, search in pairs}) == len(pairs) > 1
 
     def test_gen2a_case(self):
         desc = classify_genus_two(fixtures.gen2a())
