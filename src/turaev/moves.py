@@ -11,23 +11,29 @@ which keeps every crossing's handedness. Reidemeister-II cancellation
 removes adjacent single-crossing tangles joined by non-alternating edges.
 Flypes preserve the crossing count, cancellations remove exactly two
 crossings, and neither changes the Turaev genus; all of that is asserted
-on every application.
+on every application, on the units' state facts: a move only rearranges
+units, so the ring's state circle counts, and with them its genus, are
+read off the units' cached facts (``RingPayload.state_facts``), and no
+diagram is built per move. A cycle is assembled into a diagram, and
+validated, only when it is read: once for the result, and once per flype
+when a trace records it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .pdcore import (
     DiagramError,
     PlanarDiagram,
     Refused,
+    _cached_fact,
+    _genus_of_counts,
     is_alternating,
     is_prime,
 )
 from .states import INADEQUATE, loop_crossings, turaev_genus
-from .tangles import RingPayload, assemble_ring, classify_genus_one, decompose
+from .tangles import RingPayload, assemble_ring, classify_genus_one, decompose, ring_circle_counts
 from . import surgery
 
 
@@ -57,7 +63,8 @@ class CycleOfTangles:
 
     ``twist`` marks a cyclically contiguous run of unit indices forming
     the working twist region. The assembled diagram is built on first use
-    and kept, so each cycle is built once however often it is read.
+    and kept, so each cycle is built once however often it is read; the
+    circle counts and genus come from the units without building it.
     """
 
     units: tuple[TangleUnit, ...]
@@ -67,11 +74,21 @@ class CycleOfTangles:
     def n(self) -> int:
         return len(self.units)
 
-    @property
+    @_cached_fact
     def crossing_count(self) -> int:
         return sum(u.size for u in self.units)
 
-    @cached_property
+    @_cached_fact
+    def circle_counts(self) -> tuple[int, int]:
+        """(|s_A|, |s_B|) of the reconstruction, from the units' facts."""
+        return ring_circle_counts([u.payload for u in self.units])
+
+    @_cached_fact
+    def genus(self) -> int:
+        """Turaev genus of the reconstruction, from ``circle_counts``."""
+        return _genus_of_counts(self.crossing_count, *self.circle_counts)
+
+    @_cached_fact
     def _assembled(self) -> PlanarDiagram:
         diagram, _ = assemble_ring([u.payload for u in self.units])
         return diagram
@@ -80,18 +97,18 @@ class CycleOfTangles:
         return self._assembled
 
     def with_twist(self, twist: tuple[int, ...]) -> "CycleOfTangles":
-        """The same cycle with ``twist`` marked, keeping the diagram if it
-        is already built."""
+        """The same cycle with ``twist`` marked, keeping the facts, the
+        diagram among them, already read off its units."""
         out = CycleOfTangles(self.units, twist)
-        if "_assembled" in self.__dict__:
-            out.__dict__["_assembled"] = self._assembled
+        out.__dict__.update((k, v) for k, v in self.__dict__.items() if k != "twist")
         return out
 
 
 def cycle_of_tangles(diagram: PlanarDiagram) -> CycleOfTangles:
     """Cut a genus-one diagram into its cycle payloads.
 
-    The reconstruction of the result is isomorphic to the input.
+    The reconstruction of the result is isomorphic to the input; the
+    units' circle counts are checked against the input's.
     """
     cyc = classify_genus_one(diagram)
     dec = cyc.decomposition
@@ -140,7 +157,10 @@ def cycle_of_tangles(diagram: PlanarDiagram) -> CycleOfTangles:
             )
         legs = tuple((local[d >> 2], d & 3) for d in arrangements[i])
         units.append(TangleUnit(RingPayload(tuple(rows), legs), crossings))  # type: ignore[arg-type]
-    return CycleOfTangles(tuple(units))
+    out = CycleOfTangles(tuple(units))
+    if out.circle_counts != diagram.circle_counts:
+        raise DiagramError("cycle payloads do not give the diagram's state circles")
+    return out
 
 
 def _serial_sites(unit: TangleUnit) -> list[TangleUnit] | None:
@@ -228,25 +248,26 @@ def flype_adjacent(cycle: CycleOfTangles, i: int) -> CycleOfTangles:
     """Flype the single-crossing tangle at position i past position i+1.
 
     The two positions swap and the passed-over tangle is turned over; the
-    reconstruction keeps its crossing count and Turaev genus, asserted.
+    turned tangle keeps its state facts (a turn-over is a rotation in
+    space, so each smoothing keeps its type) and the reconstruction keeps
+    its crossing count and Turaev genus, all asserted on the units' facts.
     """
     n = cycle.n
     i %= n
     if cycle.units[i].size != 1:
         raise DiagramError(f"position {i} does not hold a single-crossing tangle")
     j = (i + 1) % n
-    before = cycle.reconstruct()
-    g = turaev_genus(before)
     units = list(cycle.units)
     moved = units[i]
     turned = TangleUnit(_turn_over(units[j].payload), units[j].origin)
+    if turned.payload.state_facts != units[j].payload.state_facts:
+        raise DiagramError("turning the passed-over tangle changed its states")
     units[i], units[j] = turned, moved
     twist = tuple(j if k == i else i if k == j else k for k in cycle.twist)
     out = CycleOfTangles(tuple(units), twist)
-    after = out.reconstruct()
-    if after.n != before.n:
+    if out.crossing_count != cycle.crossing_count:
         raise DiagramError("flype changed the crossing count")
-    if turaev_genus(after) != g:
+    if out.genus != cycle.genus:
         raise DiagramError("flype changed the Turaev genus")
     return out
 
@@ -267,7 +288,8 @@ def rii_cancel(cycle: CycleOfTangles) -> CycleOfTangles:
     non-alternating edges is a Reidemeister-II pair; each cancellation
     removes both crossings. Cancellations that would change the Turaev
     genus of the reconstruction (possible only when the whole cycle
-    degenerates) are skipped. The twist marker shrinks accordingly.
+    degenerates) are skipped. The twist marker shrinks accordingly. Both
+    checks read the units' facts.
     """
     if not cycle.twist:
         raise DiagramError("no twist region is marked")
@@ -279,7 +301,6 @@ def rii_cancel(cycle: CycleOfTangles) -> CycleOfTangles:
         pairs = [(run[k], run[k + 1]) for k in range(len(run) - 1)]
         if len(run) == current.n and len(run) > 1:
             pairs.append((run[-1], run[0]))
-        before = current.reconstruct()
         for i, j in pairs:
             if (i + 1) % current.n != j:
                 continue
@@ -300,10 +321,9 @@ def rii_cancel(cycle: CycleOfTangles) -> CycleOfTangles:
             candidate = CycleOfTangles(
                 candidate_units, tuple(remap[k] for k in run if k not in (i, j))
             )
-            after = candidate.reconstruct()
-            if turaev_genus(after) != turaev_genus(before):
+            if candidate.genus != current.genus:
                 continue
-            if after.n != before.n - 2:
+            if candidate.crossing_count != current.crossing_count - 2:
                 raise DiagramError("cancellation must remove exactly two crossings")
             current = candidate
             changed = True
@@ -318,10 +338,18 @@ def is_almost_alternating(diagram: PlanarDiagram) -> bool:
     """
     if not diagram.is_connected:
         raise DiagramError("defined for connected diagrams")
-    plus = sum(s > 0 for s in diagram.signs.values())
-    if plus in (0, diagram.n):
+    dalt = _minority_sign_count(diagram)
+    if not dalt:
         raise Refused("diagram is already alternating")
-    return 1 in (plus, diagram.n - plus)
+    return dalt == 1
+
+
+def _minority_sign_count(diagram: PlanarDiagram) -> int:
+    """min(#crossings of sign +1, #crossings of sign -1) under the
+    checkerboard signs: switching those crossings makes every edge
+    alternate, so it bounds the dealternating number."""
+    plus = sum(s > 0 for s in diagram.signs.values())
+    return min(plus, diagram.n - plus)
 
 
 def almost_alternating_form(
@@ -335,7 +363,9 @@ def almost_alternating_form(
     result must have two maximal tangles with one of them a single
     crossing. Any other outcome raises PipelineRefused carrying the
     intermediate diagram. When a list is passed as ``trace``, each move is
-    appended as {"move": ..., "diagram": pd text}.
+    appended as {"move": ..., "diagram": pd text, "dalt": the diagram's
+    minority checkerboard-sign count}, which is 1 on an almost-alternating
+    diagram.
     """
     if not diagram.is_connected:
         raise Refused("disconnected diagram")
@@ -349,13 +379,14 @@ def almost_alternating_form(
 
     def note(move: str, d: PlanarDiagram) -> None:
         if trace is not None:
-            trace.append({"move": move, "diagram": d.to_pd_text()})
+            trace.append({"move": move, "diagram": d.to_pd_text(), "dalt": _minority_sign_count(d)})
 
     note("input", diagram)
     cycle = cycle_of_tangles(diagram)
     if cycle.n == 2:
-        # Already split into two maximal tangles; nothing to collect.
-        result = _certify(diagram, diagram)
+        # Already split into two maximal tangles, the cycle's units;
+        # nothing to collect.
+        result = _certify(diagram, [u.size for u in cycle.units])
         note("certified", result)
         return result
     cycle = split_twist_sites(cycle)
@@ -375,21 +406,21 @@ def almost_alternating_form(
     cycle = rii_cancel(cycle)
     result = cycle.reconstruct()
     note("twist-cancelled", result)
-    result = _certify(result, result)
+    result = _certify(result, [t.size for t in decompose(result).tangles])
     note("certified", result)
     return result
 
 
-def _certify(result: PlanarDiagram, intermediate: PlanarDiagram) -> PlanarDiagram:
-    dec = decompose(result)
-    sizes = sorted(t.size for t in dec.tangles)
-    if len(dec.tangles) == 2 and sizes[0] == 1:
+def _certify(result: PlanarDiagram, sizes: list[int]) -> PlanarDiagram:
+    """``result`` when its maximal tangles, of these sizes, are two with
+    one a single crossing and it is almost alternating; else
+    ``PipelineRefused`` carrying it."""
+    sizes = sorted(sizes)
+    if len(sizes) == 2 and sizes[0] == 1:
         if not is_almost_alternating(result):
-            raise PipelineRefused("reduced diagram failed certification", intermediate)
+            raise PipelineRefused("reduced diagram failed certification", result)
         return result
-    raise PipelineRefused(
-        f"reduced diagram has {len(dec.tangles)} tangles of sizes {sizes}", intermediate
-    )
+    raise PipelineRefused(f"reduced diagram has {len(sizes)} tangles of sizes {sizes}", result)
 
 
 def _collect_run(cycle: CycleOfTangles, movers: set[int], note=None) -> CycleOfTangles:
@@ -399,7 +430,7 @@ def _collect_run(cycle: CycleOfTangles, movers: set[int], note=None) -> CycleOfT
     The first marked unit anchors the run; every other marked unit is
     flyped rightward around the cycle until it joins. Each flype carries
     its own genus assertion. When ``note`` is given, it receives every
-    flype and the reconstructed diagram after it.
+    flype and the reconstructed diagram after it, which is built for it.
     """
     if not movers:
         raise DiagramError("nothing to collect")

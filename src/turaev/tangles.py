@@ -32,11 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import groupby
 
 from .pdcore import (
     DiagramError,
     PlanarDiagram,
     Refused,
+    _cached_fact,
     _crossing_classes,
     checkerboard,
     edge_alternation,
@@ -173,20 +175,17 @@ def _boundary_circles(diagram: PlanarDiagram) -> list[tuple[int, ...]]:
 
     A non-alternating dart stands for the marked point near its tail. The
     successor crosses to the far side of the edge and follows the arc in
-    that face to the next non-alternating incidence.
+    that face to the next non-alternating incidence. The incidences come
+    from the diagram's walk, which lists them face by face in walk order.
     """
     alpha = diagram.alpha
-    next_non_alt: dict[int, int] = {}
-    for face in diagram.faces:
-        idxs = [i for i, d in enumerate(face.darts) if not (d ^ alpha[d]) & 1]
-        if len(idxs) % 2:
-            raise DiagramError(f"face {face.id} has an odd number of non-alternating incidences")
-        for k, i in enumerate(idxs):
-            j = idxs[(k + 1) % len(idxs)]
-            next_non_alt[face.darts[i]] = face.darts[j]
     succ = {}
-    for d in next_non_alt:
-        succ[alpha[d]] = next_non_alt[d]
+    for f, run in groupby(diagram._walk.spots, key=diagram.face_of_dart.__getitem__):
+        run = list(run)
+        if len(run) % 2:
+            raise DiagramError(f"face {f} has an odd number of non-alternating incidences")
+        for d, nxt in zip(run, run[1:] + run[:1]):
+            succ[alpha[d]] = nxt
     seen = set()
     circles = []
     for start in sorted(succ):
@@ -358,7 +357,19 @@ _COMPASS = {
 @dataclass(frozen=True)
 class RingPayload:
     """One tangle of a ring under construction: PD rows with placeholder
-    zeros at the four legs, and the leg positions (UL, LL, LR, UR)."""
+    zeros at the four legs, and the leg positions (UL, LL, LR, UR).
+
+    ``state_facts`` gives, for the all-A and the all-B smoothing, how the
+    state joins the legs (vertical: UL-LL and LR-UR; horizontal: UL-UR
+    and LL-LR) and how many closed circles it has inside the payload. A
+    ring closes UR_i to UL_{i+1} and LR_i to LL_{i+1}. Going round it,
+    each vertical unit's LR-UR arc runs through the arcs of the
+    horizontal units after it into the UL-LL arc of the next vertical
+    unit, which closes one circle; with no vertical unit the upper and
+    lower strands make two. So a ring has
+    |s| = sum of closed + (the number of vertical units, or 2 if none)
+    circles in each smoothing (``ring_circle_counts``).
+    """
 
     rows: tuple[tuple[int, int, int, int], ...]
     legs: tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]
@@ -366,6 +377,58 @@ class RingPayload:
     @property
     def size(self) -> int:
         return len(self.rows)
+
+    @_cached_fact
+    def state_facts(self) -> tuple[tuple[bool, int], tuple[bool, int]]:
+        """((vertical, closed circles) of the all-A state, the same of the
+        all-B state). The A-smoothing joins slot s to s ^ 1 and the B one
+        to s ^ 3; a state joining UL to LR crosses itself, which no planar
+        2-tangle does, and raises ``DiagramError``."""
+        flat = [x for row in self.rows for x in row]
+        alpha = [-1] * len(flat)  # -1 at the legs
+        first: dict[int, int] = {}
+        for d, lab in enumerate(flat):
+            if lab:
+                o = first.setdefault(lab, d)
+                if o != d:
+                    alpha[o], alpha[d] = d, o
+        ul, ll, lr, _ = (4 * c + s for c, s in self.legs)
+
+        def follow(d: int, mask: int) -> int:
+            """Mark the arc or circle through dart d; its far leg dart,
+            or -1 for a closed circle."""
+            while not seen[d]:
+                e = d ^ mask
+                seen[d] = seen[e] = True
+                d = alpha[e]
+                if d < 0:
+                    return e
+            return -1
+
+        out = []
+        for mask in (1, 3):
+            seen = [False] * len(flat)
+            end = follow(ul, mask)
+            if end == lr:
+                raise DiagramError("a state joins the payload's UL and LR legs")
+            follow(ll if end != ll else lr, mask)
+            closed = sum(follow(d, mask) < 0 for d in range(len(flat)) if not seen[d])
+            out.append((end == ll, closed))
+        return tuple(out)  # type: ignore[return-value]
+
+
+def ring_circle_counts(payloads) -> tuple[int, int]:
+    """(|s_A|, |s_B|) of ``assemble_ring(payloads)``, read off each
+    payload's ``state_facts`` without building the ring."""
+    counts = []
+    for k in (0, 1):
+        closed = vertical = 0
+        for p in payloads:
+            v, c = p.state_facts[k]
+            vertical += v
+            closed += c
+        counts.append(closed + (vertical or 2))
+    return counts[0], counts[1]
 
 
 def twist_payload(size: int, kind: str, *, vertical: bool = False) -> RingPayload:

@@ -26,7 +26,7 @@ from turaev.pdcore import (
 )
 from turaev.states import loop_crossings, turaev_genus
 from turaev.surgery import find_cutting_arcs, surger_arc
-from turaev.tangles import decompose, gen_cycle
+from turaev.tangles import RingPayload, assemble_ring, decompose, gen_cycle, ring_circle_counts, twist_payload
 
 import oracles
 
@@ -54,18 +54,29 @@ class TestCycleOfTangles:
 
     @staticmethod
     def assert_matches_search(diagrams) -> int:
-        """Compare payload legs and origins with the orientation search on
-        every genus-one prime among ``diagrams`` and its mirror; returns
-        the number of genus-one primes."""
+        """On every genus-one prime among ``diagrams`` and its mirror:
+        compare payload legs and origins with the orientation search, and
+        the units' circle counts with the reconstruction's, before and
+        after every single flype of the cycle and of its twist sites;
+        turning a unit over keeps its facts. Returns the number of
+        genus-one primes."""
         seen = 0
         for d in diagrams:
             if not is_prime(d) or turaev_genus(d) != 1:
                 continue
             seen += 1
             for x in (d, mirror(d)):
-                units = cycle_of_tangles(x).units
-                ours = tuple((u.origin, tuple(4 * u.origin[c] + s for c, s in u.payload.legs)) for u in units)
+                cycle = cycle_of_tangles(x)
+                ours = tuple((u.origin, tuple(4 * u.origin[c] + s for c, s in u.payload.legs)) for u in cycle.units)
                 assert ours == oracles.cycle_arrangements_by_search(x), x.to_pd_text()
+                for cyc in (cycle, split_twist_sites(cycle)):
+                    assert cyc.circle_counts == cyc.reconstruct().circle_counts == x.circle_counts, x.to_pd_text()
+                    for u in cyc.units:
+                        assert moves._turn_over(u.payload).state_facts == u.payload.state_facts
+                    for i in range(cyc.n):
+                        if cyc.units[i].size == 1:
+                            flyped = flype_adjacent(cyc, i)
+                            assert flyped.circle_counts == flyped.reconstruct().circle_counts, (x.to_pd_text(), i)
         return seen
 
     def test_search_oracle_on_exhaustive_5(self, exhaustive_rows):
@@ -81,6 +92,30 @@ class TestCycleOfTangles:
             PlanarDiagram.from_rows(bench_inputs.prime_rows(rng, rng.randint(9, 60), 1)) for _ in range(40)
         ]
         assert self.assert_matches_search(diagrams) == 40
+
+
+class TestStateFacts:
+    def test_twist_shapes(self):
+        # A twist of k crossings: one state caps both sides, the other
+        # runs straight through, and the k - 1 bigons between the crossings
+        # close in the capping state of a horizontal twist and in the
+        # straight state of a vertical one. Kind "u" caps in the A-state.
+        for kind, caps in (("u", 0), ("o", 1)):
+            for k in (1, 2, 5):
+                facts = twist_payload(k, kind).state_facts
+                assert facts[caps] == (True, k - 1) and facts[1 - caps] == (False, 0)
+                facts = twist_payload(k, kind, vertical=True).state_facts
+                assert facts[caps] == (True, 0) and facts[1 - caps] == (False, k - 1)
+        # Two capping units close two circles, and two straight ones give
+        # the ring's upper and lower strands.
+        pair = [twist_payload(1, "u"), twist_payload(1, "u")]
+        assert ring_circle_counts(pair) == assemble_ring(pair)[0].circle_counts == (2, 2)
+
+    def test_crossed_legs_rejected(self):
+        # UL and LR on one A-arc of a single crossing: not a planar 2-tangle.
+        payload = RingPayload(((0, 0, 0, 0),), ((0, 0), (0, 2), (0, 1), (0, 3)))
+        with pytest.raises(DiagramError):
+            payload.state_facts
 
 
 class TestFlype:
@@ -101,6 +136,29 @@ class TestFlype:
         multi = next(i for i, u in enumerate(cycle.units) if u.size > 1)
         with pytest.raises(DiagramError):
             flype_adjacent(cycle, multi)
+
+    def test_mirrored_turn_over_caught(self, monkeypatch):
+        # Reversing the slots without exchanging over and under mirrors
+        # the passed-over tangle, which swaps its A- and B-state facts;
+        # every such flype is refused.
+        def mirrored(payload):
+            rows = tuple((a, d, c, b) for a, b, c, d in payload.rows)
+            ul, ll, lr, ur = payload.legs
+            remap = lambda leg: (leg[0], -leg[1] % 4)
+            return RingPayload(rows, (remap(ll), remap(ul), remap(ur), remap(lr)))
+
+        cycles = []
+        for d in (PSEUDOTREF, fixtures.aa6(), fixtures.cycle4()):
+            cycle = cycle_of_tangles(d)
+            cycles += [cycle, split_twist_sites(cycle)]
+        sites = [(c, i) for c in cycles for i, u in enumerate(c.units) if u.size == 1]
+        assert len(sites) > 10
+        for cycle, i in sites:
+            flype_adjacent(cycle, i)
+        monkeypatch.setattr(moves, "_turn_over", mirrored)
+        for cycle, i in sites:
+            with pytest.raises(DiagramError):
+                flype_adjacent(cycle, i)
 
     def test_flype_preserves_payload_multiset(self):
         cycle = cycle_of_tangles(fixtures.aa6())
@@ -204,14 +262,16 @@ class TestPipeline:
         assert trace[0]["diagram"] == d.to_pd_text()
         assert trace[-1]["diagram"] == out.to_pd_text()
         for step in trace:
-            assert turaev_genus(parse_pd(step["diagram"])) == 1
+            x = parse_pd(step["diagram"])
+            assert turaev_genus(x) == 1
+            plus = sum(s > 0 for s in x.signs.values())
+            assert step["dalt"] == min(plus, x.n - plus)
+        assert trace[-1]["move"] == "certified" and trace[-1]["dalt"] == 1
 
     def test_untraced_run_builds_no_flype_diagrams(self, monkeypatch):
-        # The trace reads each flype's diagram, which the flype's own
-        # checks already built; a traced run builds nothing more. Each
-        # cycle is built once: the cycle before the first flype, one per
-        # flype (the last one carried into the twist marking) and the
-        # cancelled cycle.
+        # The flypes and the cancellation check the units' facts and build
+        # nothing: an untraced run builds only its result. A traced run
+        # builds each flype's diagram for the trace, and the result.
         built = []
         real = moves.assemble_ring
         monkeypatch.setattr(moves, "assemble_ring", lambda payloads: built.append(1) or real(payloads))
@@ -219,7 +279,8 @@ class TestPipeline:
         untraced = len(built)
         almost_alternating_form(parse_pd(TWO_FLYPES), [])
         traced = len(built) - untraced
-        assert traced == untraced == 4
+        assert untraced == 1
+        assert traced == 2 + 1
 
     def test_traces_only_the_input(self, traces):
         d = parse_pd(TWO_FLYPES)
