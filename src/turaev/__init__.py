@@ -19,7 +19,6 @@ from .pdcore import (
 from .states import (
     AdequacyReport,
     loop_crossings,
-    state_circles,
     turaev_genus,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "parse_pd",
     "AdequacyReport",
     "loop_crossings",
-    "state_circles",
     "turaev_genus",
 ]
 

@@ -101,7 +101,7 @@ def child_rows(shadow_rows: Rows) -> list[Rows]:
     out = [
         _grown(d, (u, v), (1, 4, 3, 2))
         for face in d.faces
-        for u, v in combinations(face.darts, 2)
+        for u, v in combinations(face, 2)
         if d.label(u) != d.label(v)
     ]
     for u, _ in d.edge_darts.values():
@@ -207,10 +207,10 @@ def random_diagram(rng: random.Random, n_crossings: int) -> PlanarDiagram:
             draws = _KINK_DRAWS
         else:
             face = d.faces[rng.randrange(len(d.faces))]
-            if face.degree < 2:
+            if len(face) < 2:
                 continue
-            i, j = rng.sample(range(face.degree), 2)
-            darts = (face.darts[i], face.darts[j])
+            i, j = rng.sample(range(len(face)), 2)
+            darts = (face[i], face[j])
             if d.label(darts[0]) == d.label(darts[1]):
                 continue
             draws = _CUT_PAIR_DRAWS

@@ -29,12 +29,10 @@ from .pdcore import (
     Refused,
     _cached_fact,
     _genus_of_counts,
-    is_alternating,
     is_prime,
 )
 from .states import INADEQUATE, loop_crossings, turaev_genus
 from .tangles import RingPayload, assemble_ring, classify_genus_one, decompose, ring_circle_counts
-from . import surgery
 
 
 class PipelineRefused(Refused):
@@ -175,7 +173,6 @@ def _serial_sites(unit: TangleUnit) -> list[TangleUnit] | None:
     (ul, ll, lr, ur) = payload.legs
     if ul[0] != ll[0] or lr[0] != ur[0]:
         return None
-    edge_at = lambda pos: rows[pos[0]][pos[1]]
     cur, ul_slot = ul
     if ll != (cur, (ul_slot + 1) % 4):
         return None
@@ -455,77 +452,3 @@ def _collect_run(cycle: CycleOfTangles, movers: set[int], note=None) -> CycleOfT
         run = [mover] + run
     return current.with_twist(tuple(run))
 
-
-def core_arc(diagram: PlanarDiagram, c: int) -> surgery.CuttingArc | None:
-    """A surgery arc across one side of a loop crossing.
-
-    For an A-loop crossing the arc hugs one of the two corners joined by
-    the B-smoothing, joining the edges at slots (1,2) or (3,0), which lie
-    on one all-A circle (the loop) and one all-B circle (the hugging
-    smoothing arc); symmetrically for B-loop crossings. The side follows
-    the shorter sub-arc of the loop circle between its two visits to the
-    crossing, ties broken by face id. For a prime genus-one diagram the
-    surgery lowers the genus by one, which is asserted.
-    """
-    report = loop_crossings(diagram)
-    if c in report.a_loops:
-        mask, corner_pairs = 1, ((1, 2), (3, 0))
-    elif c in report.b_loops:
-        mask, corner_pairs = 3, ((0, 1), (2, 3))
-    else:
-        raise DiagramError(f"crossing {c} is not a loop crossing")
-    # Sub-arc lengths between the two visits: walk the loop circle from
-    # the dart leaving c at slot 0 and count the steps between landings
-    # at c.
-    alpha = diagram.alpha
-    visits, steps, d = [], 0, 4 * c
-    while True:
-        steps += 1
-        if alpha[d] >> 2 == c:
-            visits.append(steps)
-            steps = 0
-        d = alpha[d] ^ mask
-        if d == 4 * c:
-            break
-    if len(visits) != 2:
-        raise DiagramError("loop circle does not visit the crossing twice")
-    len1, len2 = visits
-
-    candidates = []
-    for (s1, s2) in corner_pairs:
-        e1 = diagram.crossings[c][s1]
-        e2 = diagram.crossings[c][s2]
-        if e1 == e2:
-            continue
-        face = diagram.face_at_corner(c, s1)
-        walk = diagram.faces[face].darts
-        pos = sorted(i for i, d in enumerate(walk) if diagram.label(d) in (e1, e2))
-        if len(pos) != 2:
-            continue
-        candidates.append((face, pos))
-    if not candidates:
-        raise DiagramError("loop crossing admits no surgery arc")
-    g = turaev_genus(diagram)
-    scored = []
-    for face, pos in candidates:
-        try:
-            result, _ = surgery.surger_arc(diagram, face, pos[0], pos[1])
-        except DiagramError:
-            continue
-        if result.is_connected and turaev_genus(result) == g - 1:
-            scored.append((min(len1, len2), face, pos))
-    if not scored:
-        raise DiagramError("no side of the loop crossing lowers the genus")
-    _, face, pos = min(scored)
-    arcs = surgery.find_cutting_arcs(diagram) if not is_alternating(diagram) else ()
-    walk = diagram.faces[face].darts
-    e1, e2 = diagram.label(walk[pos[0]]), diagram.label(walk[pos[1]])
-    for arc in arcs:
-        if arc.face == face and set(arc.edges) == {e1, e2}:
-            return arc
-    # Not a cutting arc in the strict sense (an endpoint edge alternates);
-    # report the raw arc data with circle ids of the shared circles.
-    sa, sb = diagram.edge_circles
-    if sa[e1] != sa[e2] or sb[e1] != sb[e2]:
-        raise DiagramError("surgery arc does not share its state circles")
-    return surgery.CuttingArc(face, (pos[0], pos[1]), (e1, e2), sa[e1], sb[e1])

@@ -74,14 +74,6 @@ class Refused(Exception):
         self.reason = reason
 
 
-def crossing_of(dart: int) -> int:
-    return dart >> 2
-
-
-def slot_of(dart: int) -> int:
-    return dart & 3
-
-
 def dart(crossing: int, slot: int) -> int:
     return 4 * crossing + slot
 
@@ -89,26 +81,6 @@ def dart(crossing: int, slot: int) -> int:
 def sigma(dart: int) -> int:
     """Next dart counterclockwise around the same crossing."""
     return (dart & ~3) | ((dart + 1) & 3)
-
-
-@dataclass(frozen=True)
-class Face:
-    """One complementary region, as its boundary walk of darts."""
-
-    id: int
-    darts: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.darts)
-
-    @property
-    def corners(self) -> tuple[tuple[int, int], ...]:
-        """(crossing, corner) incidences; corner k spans slots k, k+1."""
-        return tuple((crossing_of(d), (slot_of(d) - 1) % 4) for d in self.darts)
-
-    def edges(self, diagram: "RotationSystem") -> tuple[int, ...]:
-        return tuple(diagram.edge_of_dart(d) for d in self.darts)
 
 
 @dataclass(frozen=True)
@@ -332,7 +304,8 @@ class _Orbits:
 
     def position(self, walk: _Walk, d: int) -> int:
         """Dart d's position in the walk of its face, from the face's
-        first dart, as ``PlanarDiagram.faces`` lists it."""
+        first dart: its index in the face's dart tuple as
+        ``RotationSystem.faces`` lists it."""
         return walk.faces[self.face[d] - walk.base].index(d)
 
     def circles(self, walk: _Walk) -> tuple[int, int]:
@@ -344,8 +317,7 @@ class _Orbits:
         so each circle is walked once. Both darts of an edge carry its
         circle's id. The walks start from the piece's darts in label
         order, so the circles of a smoothing get consecutive ids in the
-        order of their smallest labels, as ``states.state_circles``
-        numbers them.
+        order of their smallest labels.
         """
         with self.lock:
             if walk.counts is None:
@@ -495,9 +467,10 @@ class RotationSystem:
         return core.walked[core.everything]
 
     @_cached_fact
-    def faces(self) -> tuple[Face, ...]:
-        """The phi orbits in order of their smallest dart."""
-        return tuple(Face(f, tuple(darts)) for f, darts in enumerate(self._walk.faces))
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The phi orbits in order of their smallest dart: face f is
+        ``faces[f]``, its darts in walk order from that smallest dart."""
+        return tuple(map(tuple, self._walk.faces))
 
     @_cached_fact
     def face_of_dart(self) -> tuple[int, ...]:
@@ -702,10 +675,6 @@ def parse_pd(text: str, *, allow_disconnected: bool = False) -> PlanarDiagram:
 # the cached one or its swap.
 
 
-def faces(diagram: RotationSystem) -> tuple[Face, ...]:
-    return diagram.faces
-
-
 def checkerboard(diagram: PlanarDiagram, *, black_face: int | None = None) -> Coloring:
     """Proper 2-coloring of the faces.
 
@@ -727,10 +696,6 @@ def edge_alternation(diagram: RotationSystem) -> Mapping[int, bool]:
     Equivalently, the two slot occurrences have different slot parity.
     """
     return diagram.alternation
-
-
-def non_alternating_edges(diagram: RotationSystem) -> tuple[int, ...]:
-    return tuple(sorted(lab for lab, is_alt in diagram.alternation.items() if not is_alt))
 
 
 def is_alternating(diagram: RotationSystem) -> bool:

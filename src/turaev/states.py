@@ -13,118 +13,14 @@ all-A and all-B circle families (the Turaev surface, which
 
 The genus needs only the two counts, and adequacy only which circle each
 edge lies on; ``PlanarDiagram.edge_circles`` reads both off dart orbits
-without tracing a circle. ``state_circles`` traces the circles themselves,
-with their darts and corners, for any state.
+without tracing a circle.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence
 
-from .pdcore import DiagramError, PlanarDiagram, crossing_of, slot_of
-
-State = tuple[str, ...]  # "A" or "B" per crossing
-
-
-def all_a(diagram: PlanarDiagram) -> State:
-    return ("A",) * diagram.n
-
-
-def all_b(diagram: PlanarDiagram) -> State:
-    return ("B",) * diagram.n
-
-
-def _smooth_pair(slot: int, choice: str) -> int:
-    return slot ^ 1 if choice == "A" else slot ^ 3
-
-
-def _corner_of_transition(slot_in: int, choice: str) -> int:
-    # The smoothing arc used when entering at slot_in hugs this corner.
-    if choice == "A":
-        return slot_in & 2
-    return 1 if slot_in in (1, 2) else 3
-
-
-@dataclass(frozen=True)
-class Circle:
-    """One state circle, as a directed traversal.
-
-    ``darts[i]`` leaves a crossing along an edge; the transition after it
-    happens at ``corners[i]`` = (crossing, corner index).
-    """
-
-    id: int
-    darts: tuple[int, ...]
-    corners: tuple[tuple[int, int], ...]
-
-    def edges(self, diagram: PlanarDiagram) -> tuple[int, ...]:
-        return tuple(diagram.label(d) for d in self.darts)
-
-
-@dataclass(frozen=True)
-class StateCircles:
-    state: State
-    circles: tuple[Circle, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.circles)
-
-
-def state_circles(diagram: PlanarDiagram, state: Sequence[str]) -> StateCircles:
-    """Trace the circles of a state.
-
-    Circles are numbered by their smallest traversed edge label; each is
-    reported in the traversal direction whose dart set contains the
-    smallest dart, starting at that dart.
-    """
-    state = tuple(state)
-    if len(state) != diagram.n or any(ch not in ("A", "B") for ch in state):
-        raise DiagramError("state must assign 'A' or 'B' to every crossing")
-    alpha = diagram.alpha
-    nd = diagram.n_darts
-    rho = [0] * nd
-    for d in range(nd):
-        a = alpha[d]
-        c = crossing_of(a)
-        rho[d] = 4 * c + _smooth_pair(slot_of(a), state[c])
-    seen = [False] * nd
-    raw: list[tuple[int, ...]] = []
-    for start in range(nd):
-        if seen[start]:
-            continue
-        orbit = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            orbit.append(d)
-            d = rho[d]
-        # Mark the reverse traversal as visited; it is the same circle.
-        for d in orbit:
-            rev = alpha[d]
-            if not seen[rev]:
-                rev_orbit = []
-                x = rev
-                while not seen[x]:
-                    seen[x] = True
-                    rev_orbit.append(x)
-                    x = rho[x]
-        raw.append(tuple(orbit))
-    keyed = sorted(raw, key=lambda orbit: min(diagram.label(d) for d in orbit))
-    circles = []
-    for cid, orbit in enumerate(keyed):
-        # Start the cyclic listing at the smallest (edge label, dart) spot.
-        k = min(range(len(orbit)), key=lambda i: (diagram.label(orbit[i]), orbit[i]))
-        darts = orbit[k:] + orbit[:k]
-        corners = []
-        for d in darts:
-            a = alpha[d]
-            c = crossing_of(a)
-            corners.append((c, _corner_of_transition(slot_of(a), state[c])))
-        circles.append(Circle(cid, tuple(darts), tuple(corners)))
-    return StateCircles(state, tuple(circles))
+from .pdcore import PlanarDiagram
 
 
 def turaev_genus(diagram: PlanarDiagram) -> int:
@@ -187,7 +83,3 @@ def diagram_report(diagram: PlanarDiagram) -> dict:
         "adequacy": adequacy.verdict,
         "loopCrossings": {"A": list(adequacy.a_loops), "B": list(adequacy.b_loops)},
     }
-
-
-def diagram_report_json(diagram: PlanarDiagram) -> str:
-    return json.dumps(diagram_report(diagram), sort_keys=True)

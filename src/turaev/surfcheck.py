@@ -220,7 +220,7 @@ class _Gf2Span:
 
 def homology_rank_check(s: SurfaceDiagram) -> int:
     """dim H1(F; Z/2) computed from the cell structure; equals 2 * genus."""
-    face_span = _Gf2Span.of(s.chain_vector(map(s.label, face.darts)) for face in s.faces)
+    face_span = _Gf2Span.of(s.chain_vector(map(s.label, face)) for face in s.faces)
     dim = len(s.edge_index) - s.vertex_span.rank - face_span.rank
     if dim != 2 * s.genus:
         raise DiagramError(f"homology dimension {dim} disagrees with genus {s.genus}")

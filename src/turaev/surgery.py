@@ -127,7 +127,7 @@ def surger_arc(
     """
     if not 0 <= face < len(diagram.faces):
         raise DiagramError(f"face {face} is not a face of the diagram")
-    walk = diagram.faces[face].darts
+    walk = diagram.faces[face]
     if pos1 == pos2 or not (0 <= pos1 < len(walk)) or not (0 <= pos2 < len(walk)):
         raise DiagramError("arc positions must be two distinct boundary positions")
     return _surgered(diagram, walk[pos1], walk[pos2])
@@ -269,17 +269,6 @@ def _crossing_mask(crossings) -> int:
     for x in crossings:
         mask |= 1 << x
     return mask
-
-
-def _circle_path(diagram: PlanarDiagram) -> tuple[list[list[int]], list[tuple[tuple[int, ...], tuple[int, int]]]]:
-    """The blocks of a connected diagram in path order, and for the j-th
-    link of the path the composite circle joining blocks j and j + 1, as
-    its edge pair and face pair; ``_DartTable.circle_path`` on a table of
-    the whole diagram."""
-    table = _DartTable(diagram)
-    walk = table.walk(range(diagram.n), table.everything)
-    blocks, circles = table.circle_path(walk, table.blocks(walk))
-    return blocks, [(labs, faces) for labs, faces, _ in circles]
 
 
 def _block_path(n_blocks: int, ends: list[tuple[tuple[int, int], ...]]) -> tuple[list[int], list[int]]:

@@ -824,20 +824,6 @@ class Genus2Recipe:
         )
 
 
-def _closed_twist(size: int, sign: int) -> PlanarDiagram:
-    """The alternating closure of a twist: two parallel strands closed up."""
-    payload = twist_payload(size, TYPE_BY_SIGN[sign])
-    rows = [list(r) for r in payload.rows]
-    base = max((x for row in rows for x in row), default=0)
-    top, bottom = base + 1, base + 2
-    (ul, ll, lr, ur) = payload.legs
-    rows[ur[0]][ur[1]] = top
-    rows[ul[0]][ul[1]] = top
-    rows[lr[0]][lr[1]] = bottom
-    rows[ll[0]][ll[1]] = bottom
-    return PlanarDiagram.from_rows(rows)
-
-
 def _resolve_selector(selector, junctions, base, piece_edges) -> int:
     kind, a, b = selector
     if kind == "junction":
@@ -884,7 +870,7 @@ def gen_genus2(recipe: Genus2Recipe) -> PlanarDiagram:
     current = base
     piece_edges: list[list[int | None]] = []
     for size, sign, join_sel in recipe.pieces:
-        piece = _closed_twist(size, sign)
+        piece = assemble_ring([twist_payload(size, TYPE_BY_SIGN[sign])])[0]
         closure = (max(piece.edge_labels) - 1, max(piece.edge_labels))
         join_edge = _resolve_selector(join_sel, junctions, base, piece_edges)
         if join_edge not in current.edge_labels:
@@ -901,10 +887,10 @@ def gen_genus2(recipe: Genus2Recipe) -> PlanarDiagram:
     if lab1 not in current.edge_labels or lab2 not in current.edge_labels:
         raise DiagramError("splice edge was consumed by a join")
     target = None
-    for face in current.faces:
-        labs = [current.label(d) for d in face.darts]
+    for f, darts in enumerate(current.faces):
+        labs = [current.label(d) for d in darts]
         if lab1 in labs and lab2 in labs:
-            target = (face.id, labs.index(lab1), labs.index(lab2))
+            target = (f, labs.index(lab1), labs.index(lab2))
             break
     if target is None:
         raise DiagramError(f"splice edges {lab1}, {lab2} do not share a face")

@@ -3,10 +3,15 @@
 These deliberately re-derive results through different algorithms: state
 circles by union-find instead of orbit tracing, adequacy by brute-force
 corner incidence, face counts by the Euler formula, alternation straight
-from slot parity of the raw PD rows.
+from slot parity of the raw PD rows. The state-circle tracer
+(``state_circles``) and a loop crossing's surgery arc (``core_arc``) are
+references the library has no use for: it reads state circles off its
+orbit walk without building them.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class UnionFind:
@@ -196,11 +201,11 @@ def exhaustive_by_insertion(max_crossings: int):
         m = max(diagram.edge_labels)
         base = [list(row) for row in rows]
         cuts = [
-            (face.darts[i], face.darts[j], (m + 1, m + 2, m + 3, m + 4))
+            (face[i], face[j], (m + 1, m + 2, m + 3, m + 4))
             for face in diagram.faces
-            for i in range(face.degree)
-            for j in range(i + 1, face.degree)
-            if diagram.label(face.darts[i]) != diagram.label(face.darts[j])
+            for i in range(len(face))
+            for j in range(i + 1, len(face))
+            if diagram.label(face[i]) != diagram.label(face[j])
         ]
         cuts += [(d, None, (m + 1, m + 2, m + 3, m + 3)) for d, _ in diagram.edge_darts.values()]
         for u, v, stubs in cuts:
@@ -317,9 +322,10 @@ def alternation_by_label(diagram):
 
 
 def faces_by_sigma_walk(diagram):
-    """The faces as ``pdcore.Face`` records and each dart's face id, from
-    phi = sigma(alpha) orbits taken in order of their smallest dart."""
-    from turaev.pdcore import Face, sigma
+    """The faces as dart tuples, indexed by face id, and each dart's face
+    id, from phi = sigma(alpha) orbits taken in order of their smallest
+    dart."""
+    from turaev.pdcore import sigma
 
     alpha = alpha_by_label_lists(diagram)
     seen = [False] * diagram.n_darts
@@ -333,11 +339,11 @@ def faces_by_sigma_walk(diagram):
             seen[d] = True
             walk.append(d)
             d = sigma(alpha[d])
-        faces.append(Face(len(faces), tuple(walk)))
+        faces.append(tuple(walk))
     face_of_dart = [0] * diagram.n_darts
-    for f in faces:
-        for d in f.darts:
-            face_of_dart[d] = f.id
+    for f, darts in enumerate(faces):
+        for d in darts:
+            face_of_dart[d] = f
     return tuple(faces), tuple(face_of_dart)
 
 
@@ -478,7 +484,7 @@ def validate_by_reference(diagram, *, planar=True, allow_disconnected=False):
     comp_of = {c: i for i, comp in enumerate(components) for c in comp}
     fcount = [0] * len(components)
     for f in faces:
-        fcount[comp_of[f.darts[0] >> 2]] += 1
+        fcount[comp_of[f[0] >> 2]] += 1
     for i, comp in enumerate(components):
         chi = len(comp) - 2 * len(comp) + fcount[i]
         if chi != 2:
@@ -561,7 +567,7 @@ def surger_arc_by_rows(diagram, face, pos1, pos2):
 
     faces, _ = faces_by_sigma_walk(diagram)
     alpha = alpha_by_label_lists(diagram)
-    walk = faces[face].darts
+    walk = faces[face]
     d1, d2 = walk[pos1], walk[pos2]
     if diagram.label(d1) == diagram.label(d2):
         raise DiagramError("arc endpoints lie on the same edge")
@@ -594,7 +600,7 @@ def split_by_sequential_peel(intermediate, attaching):
         face = f1 if coloring.color(f1) == BLACK else f2
         if coloring.color(face) != BLACK:
             raise DiagramError("composite circle has no black face")
-        walk = diagram.faces[face].darts
+        walk = diagram.faces[face]
         positions = [i for i, d in enumerate(walk) if diagram.label(d) in circle.edges]
         if len(positions) != 2:
             raise DiagramError("composite circle edges not found on its black face")
@@ -889,6 +895,186 @@ def cycle_arrangements_by_search(diagram):
     return tuple((dec.tangles[tid].crossings, arr) for tid, arr in zip(cyc.order, arrangements))
 
 
+def all_a(diagram):
+    return ("A",) * diagram.n
+
+
+def all_b(diagram):
+    return ("B",) * diagram.n
+
+
+def _smooth_pair(slot: int, choice: str) -> int:
+    return slot ^ 1 if choice == "A" else slot ^ 3
+
+
+def _corner_of_transition(slot_in: int, choice: str) -> int:
+    # The smoothing arc used when entering at slot_in hugs this corner.
+    if choice == "A":
+        return slot_in & 2
+    return 1 if slot_in in (1, 2) else 3
+
+
+@dataclass(frozen=True)
+class Circle:
+    """One state circle, as a directed traversal.
+
+    ``darts[i]`` leaves a crossing along an edge; the transition after it
+    happens at ``corners[i]`` = (crossing, corner index).
+    """
+
+    id: int
+    darts: tuple[int, ...]
+    corners: tuple[tuple[int, int], ...]
+
+    def edges(self, diagram) -> tuple[int, ...]:
+        return tuple(diagram.label(d) for d in self.darts)
+
+
+@dataclass(frozen=True)
+class StateCircles:
+    state: tuple[str, ...]
+    circles: tuple[Circle, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.circles)
+
+
+def state_circles(diagram, state) -> StateCircles:
+    """Trace the circles of any state, with their darts and corners.
+
+    Circles are numbered by their smallest traversed edge label; each is
+    reported in the traversal direction whose dart set contains the
+    smallest dart, starting at that dart. The library reads the all-A and
+    all-B circles off its orbit walk (``PlanarDiagram.edge_circles``)
+    without building them; this tracer is the reference for that walk.
+    """
+    from turaev.pdcore import DiagramError
+
+    state = tuple(state)
+    if len(state) != diagram.n or any(ch not in ("A", "B") for ch in state):
+        raise DiagramError("state must assign 'A' or 'B' to every crossing")
+    alpha = diagram.alpha
+    nd = diagram.n_darts
+    rho = [0] * nd
+    for d in range(nd):
+        a = alpha[d]
+        c = a >> 2
+        rho[d] = 4 * c + _smooth_pair(a & 3, state[c])
+    seen = [False] * nd
+    raw: list[tuple[int, ...]] = []
+    for start in range(nd):
+        if seen[start]:
+            continue
+        orbit = []
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            orbit.append(d)
+            d = rho[d]
+        # Mark the reverse traversal as visited; it is the same circle.
+        for d in orbit:
+            x = alpha[d]
+            while not seen[x]:
+                seen[x] = True
+                x = rho[x]
+        raw.append(tuple(orbit))
+    keyed = sorted(raw, key=lambda orbit: min(diagram.label(d) for d in orbit))
+    circles = []
+    for cid, orbit in enumerate(keyed):
+        # Start the cyclic listing at the smallest (edge label, dart) spot.
+        k = min(range(len(orbit)), key=lambda i: (diagram.label(orbit[i]), orbit[i]))
+        darts = orbit[k:] + orbit[:k]
+        corners = []
+        for d in darts:
+            a = alpha[d]
+            c = a >> 2
+            corners.append((c, _corner_of_transition(a & 3, state[c])))
+        circles.append(Circle(cid, tuple(darts), tuple(corners)))
+    return StateCircles(state, tuple(circles))
+
+
+def core_arc(diagram, c: int):
+    """A surgery arc across one side of a loop crossing, as a
+    ``surgery.CuttingArc``; the reference arc the ``surgery.surger_arc``
+    tests surger along.
+
+    For an A-loop crossing the arc hugs one of the two corners joined by
+    the B-smoothing, joining the edges at slots (1,2) or (3,0), which lie
+    on one all-A circle (the loop) and one all-B circle (the hugging
+    smoothing arc); symmetrically for B-loop crossings. The side follows
+    the shorter sub-arc of the loop circle between its two visits to the
+    crossing, ties broken by face id. For a prime genus-one diagram the
+    surgery lowers the genus by one, which is asserted.
+    """
+    from turaev import surgery
+    from turaev.pdcore import DiagramError, is_alternating
+    from turaev.states import loop_crossings, turaev_genus
+
+    report = loop_crossings(diagram)
+    if c in report.a_loops:
+        mask, corner_pairs = 1, ((1, 2), (3, 0))
+    elif c in report.b_loops:
+        mask, corner_pairs = 3, ((0, 1), (2, 3))
+    else:
+        raise DiagramError(f"crossing {c} is not a loop crossing")
+    # Sub-arc lengths between the two visits: walk the loop circle from
+    # the dart leaving c at slot 0 and count the steps between landings
+    # at c.
+    alpha = diagram.alpha
+    visits, steps, d = [], 0, 4 * c
+    while True:
+        steps += 1
+        if alpha[d] >> 2 == c:
+            visits.append(steps)
+            steps = 0
+        d = alpha[d] ^ mask
+        if d == 4 * c:
+            break
+    if len(visits) != 2:
+        raise DiagramError("loop circle does not visit the crossing twice")
+    len1, len2 = visits
+
+    candidates = []
+    for (s1, s2) in corner_pairs:
+        e1 = diagram.crossings[c][s1]
+        e2 = diagram.crossings[c][s2]
+        if e1 == e2:
+            continue
+        face = diagram.face_at_corner(c, s1)
+        walk = diagram.faces[face]
+        pos = sorted(i for i, d in enumerate(walk) if diagram.label(d) in (e1, e2))
+        if len(pos) != 2:
+            continue
+        candidates.append((face, pos))
+    if not candidates:
+        raise DiagramError("loop crossing admits no surgery arc")
+    g = turaev_genus(diagram)
+    scored = []
+    for face, pos in candidates:
+        try:
+            result, _ = surgery.surger_arc(diagram, face, pos[0], pos[1])
+        except DiagramError:
+            continue
+        if result.is_connected and turaev_genus(result) == g - 1:
+            scored.append((min(len1, len2), face, pos))
+    if not scored:
+        raise DiagramError("no side of the loop crossing lowers the genus")
+    _, face, pos = min(scored)
+    arcs = surgery.find_cutting_arcs(diagram) if not is_alternating(diagram) else ()
+    walk = diagram.faces[face]
+    e1, e2 = diagram.label(walk[pos[0]]), diagram.label(walk[pos[1]])
+    for arc in arcs:
+        if arc.face == face and set(arc.edges) == {e1, e2}:
+            return arc
+    # Not a cutting arc in the strict sense (an endpoint edge alternates);
+    # report the raw arc data with circle ids of the shared circles.
+    sa, sb = diagram.edge_circles
+    if sa[e1] != sa[e2] or sb[e1] != sb[e2]:
+        raise DiagramError("surgery arc does not share its state circles")
+    return surgery.CuttingArc(face, (pos[0], pos[1]), (e1, e2), sa[e1], sb[e1])
+
+
 def turaev_surface_by_cell_orientation(diagram):
     """Rows of the diagram on its Turaev surface, by a search for a
     consistent orientation of the traced state circles.
@@ -904,7 +1090,6 @@ def turaev_surface_by_cell_orientation(diagram):
     directly from the crossing signs.
     """
     from turaev.pdcore import DiagramError
-    from turaev.states import all_a, all_b, state_circles
 
     alpha, nd = diagram.alpha, diagram.n_darts
     cells = list(state_circles(diagram, all_a(diagram)).circles) + list(

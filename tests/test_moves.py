@@ -7,7 +7,6 @@ from turaev.moves import (
     CycleOfTangles,
     PipelineRefused,
     almost_alternating_form,
-    core_arc,
     cycle_of_tangles,
     flype_adjacent,
     is_almost_alternating,
@@ -23,12 +22,14 @@ from turaev.pdcore import (
     is_prime,
     mirror,
     parse_pd,
+    relabel,
 )
-from turaev.states import loop_crossings, turaev_genus
+from turaev.states import INADEQUATE, loop_crossings, turaev_genus
 from turaev.surgery import find_cutting_arcs, surger_arc
 from turaev.tangles import RingPayload, assemble_ring, decompose, gen_cycle, ring_circle_counts, twist_payload
 
 import oracles
+from oracles import core_arc
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 PSEUDOTREF = parse_pd("X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]")
@@ -282,12 +283,6 @@ class TestPipeline:
         assert untraced == 1
         assert traced == 2 + 1
 
-    def test_traces_only_the_input(self, traces):
-        d = parse_pd(TWO_FLYPES)
-        traces.clear()
-        almost_alternating_form(d)
-        assert traces == []
-
     def test_non_inadequate_input_refused(self):
         d = parse_pd("X[1,2,3,4] X[1,5,6,7] X[2,7,8,3] X[5,4,8,6]")
         assert turaev_genus(d) == 1
@@ -307,6 +302,61 @@ class TestPipeline:
             almost_alternating_form(d)
         assert exc.value.intermediate is not None
 
+
+
+def aa_outcome(d: PlanarDiagram) -> tuple[str, ...]:
+    """("certified",) or ("refused", reason) of the almost-alternating
+    pipeline on ``d``."""
+    try:
+        almost_alternating_form(d)
+    except Refused as exc:
+        return ("refused", exc.reason)
+    return ("certified",)
+
+
+def renumberings(d: PlanarDiagram, rng: random.Random) -> list[PlanarDiagram]:
+    """Four renumberings of ``d``: its rows shuffled, every row turned by
+    two slots, its labels permuted, and all three at once with each row
+    turned or not at random."""
+    n = d.n
+    shuffled = rng.sample(range(n), n)
+    labels = list(d.edge_labels)
+    renamed = dict(zip(labels, rng.sample(labels, len(labels))))
+    return [
+        relabel(d, shuffled, [0] * n),
+        relabel(d, range(n), [2] * n),
+        relabel(d, range(n), [0] * n, renamed),
+        relabel(d, rng.sample(range(n), n), [rng.choice((0, 2)) for _ in range(n)], renamed),
+    ]
+
+
+class TestNumberingInvariance:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_serial_sites walks a twist chain in one rotational sense only, "
+        "so the aa verdict depends on which leg the numbering names UL",
+    )
+    def test_aa_outcome_survives_renumbering(self, bench_inputs):
+        """On the aa-eligible inputs (prime, genus one, inadequate) of the
+        prime-mid and table-small benchmark sets and of this module's
+        genus-one primes, every renumbering gets the outcome kind and the
+        refusal reason of the input itself."""
+        named = [PSEUDOTREF, CLASP2, fixtures.cycle4(), fixtures.aa6(), parse_pd(TWO_FLYPES)]
+        named += [gen_cycle(signs, sizes) for signs, sizes in [((1, -1, 1, -1), (1, 1, 1, 1)), ((1, -1), (1, 2))]]
+        rows = bench_inputs.prime_mid(1) + bench_inputs.table_small(1) + [d.crossings for d in named]
+        eligible = [
+            d
+            for d in map(PlanarDiagram.from_rows, rows)
+            if is_prime(d) and turaev_genus(d) == 1 and loop_crossings(d).verdict == INADEQUATE
+        ]
+        unstable = []
+        for k, d in enumerate(eligible):
+            want = aa_outcome(d)
+            got = [aa_outcome(x) for x in renumberings(d, random.Random(k))]
+            if any(g != want for g in got):
+                unstable.append((d.to_pd_text(), want, got))
+        assert len(eligible) > 100
+        assert unstable == [], f"{len(unstable)} of {len(eligible)} inputs change outcome under renumbering"
 
 class TestCoreArc:
     def test_pseudotref_genus_drop(self):

@@ -6,7 +6,6 @@ import pytest
 
 from turaev import cli, corpus, fixtures
 from turaev.pdcore import DiagramError, PlanarDiagram, Refused, is_alternating, mirror, parse_pd
-from turaev.states import all_a, all_b, state_circles
 from turaev.surfcheck import (
     SurfaceDiagram,
     _Gf2Span,
@@ -19,6 +18,7 @@ from turaev.surfcheck import (
 )
 
 import oracles
+from oracles import all_a, all_b, state_circles
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 PSEUDOTREF = parse_pd("X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]")
@@ -91,7 +91,7 @@ def compare_signatures(surfaces) -> int:
             assert null == (s.chain_vector(labels) in s.vertex_span), (s.to_pd_text(), labels)
             compared += 1
         assert all(signature_class(s, row) == 0 for row in s.crossings), s.to_pd_text()
-        faces = [s.chain_vector(map(s.label, f.darts)) for f in s.faces]
+        faces = [s.chain_vector(map(s.label, f)) for f in s.faces]
         basis = [
             s.chain_vector(lab for lab, sig in s.edge_signature.items() if sig >> k & 1)
             for k in range(2 * s.genus)
@@ -253,7 +253,7 @@ class TestTuraevSurface:
                 sorted(circ.edges(d)) for st in (all_a(d), all_b(d)) for circ in state_circles(d, st).circles
             ]
             s = turaev_surface(d)
-            faces = [sorted(f.edges(s)) for f in s.faces]
+            faces = [sorted(map(s.label, f)) for f in s.faces]
             assert sorted(faces) == sorted(circles), d.to_pd_text()
 
     def test_alternating_diagram_spans_its_projection_sphere(self, small_exhaustive_rows, random_rows):
@@ -267,13 +267,6 @@ class TestTuraevSurface:
                 assert turaev_surface(d).crossings == reversed_rows, d.to_pd_text()
                 checked += 1
         assert checked > 100
-
-    def test_builds_without_tracing(self, traces, random_rows):
-        for rows in random_rows[:100]:
-            turaev_surface(PlanarDiagram(rows))
-        out = cli._check_worker(PSEUDOTREF.to_pd_text(), from_turaev=True)
-        assert out["verdict"] == "loop-found"
-        assert traces == []
 
     def test_disconnected_rejected(self):
         d = PlanarDiagram.from_rows(((1, 1, 2, 2), (3, 3, 4, 4)), allow_disconnected=True)

@@ -16,11 +16,10 @@ from turaev.pdcore import (
     is_prime,
     parse_pd,
 )
-from turaev.states import all_a, all_b, state_circles, turaev_genus
+from turaev.states import turaev_genus
 from turaev.surgery import (
     AttachingEdge,
     _block_path,
-    _circle_path,
     _DartTable,
     certify_concentric,
     connect_sum,
@@ -34,6 +33,7 @@ from turaev.surgery import (
 )
 
 import oracles
+from oracles import all_a, all_b, state_circles
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 PSEUDOTREF = parse_pd("X[5,1,4,2] X[3,6,4,1] X[5,2,6,3]")
@@ -206,15 +206,15 @@ class TestSurgerArc:
         diagrams += random_prime_diagrams(20261020, 40, 12)
         surgeries = disconnected = 0
         for d in diagrams:
-            for face in d.faces:
-                k = len(face.darts)
+            for f, face in enumerate(d.faces):
+                k = len(face)
                 for i in range(k):
                     for j in range(k):
                         if i == j:
                             continue
-                        result, att = surger_arc(d, face.id, i, j)
-                        rows, record = oracles.surger_arc_by_rows(d, face.id, i, j)
-                        assert list(result.crossings) == rows, (d.crossings, face.id, i, j)
+                        result, att = surger_arc(d, f, i, j)
+                        rows, record = oracles.surger_arc_by_rows(d, f, i, j)
+                        assert list(result.crossings) == rows, (d.crossings, f, i, j)
                         assert (att.new_edges, att.darts) == record
                         surgeries += 1
                         disconnected += not result.is_connected
@@ -367,6 +367,17 @@ def path_chains(blocks):
     return chains
 
 
+def circle_path(diagram):
+    """The blocks of a connected diagram in path order, and for the j-th
+    link of the path the composite circle joining blocks j and j + 1, as
+    its edge pair and face pair: ``_DartTable.circle_path`` on a table of
+    the whole diagram."""
+    table = _DartTable(diagram)
+    walk = table.walk(range(diagram.n), table.everything)
+    blocks, circles = table.circle_path(walk, table.blocks(walk))
+    return blocks, [(labs, faces) for labs, faces, _ in circles]
+
+
 class TestCirclePath:
     def test_side_by_side_sets_rejected(self):
         # The block graphs of TestConcentric's side-by-side circles: each
@@ -404,7 +415,7 @@ class TestCirclePath:
         with pytest.raises(DiagramError, match="composite circles are not concentric"):
             certify_concentric(composite_circles(d))
         with pytest.raises(DiagramError, match="composite circles are not concentric"):
-            _circle_path(d)
+            circle_path(d)
 
     def test_matches_certify_concentric(self, oracle_corpus):
         """On every composite diagram of the oracle corpus, and on the
@@ -428,10 +439,10 @@ class TestCirclePath:
                     witness = certify_concentric(circles)
                 except DiagramError:
                     with pytest.raises(DiagramError, match="composite circles are not concentric"):
-                        _circle_path(x)
+                        circle_path(x)
                     rejected += 1
                     continue
-                blocks, path = _circle_path(x)
+                blocks, path = circle_path(x)
                 by_edges = {c.edges: c for c in circles}
                 assert sorted(edges for edges, _ in path) == sorted(by_edges)
                 side = []
@@ -675,16 +686,6 @@ class TestReduceBuilds:
             assert [b.to_pd_text() for b in builds] == [text]
         assert sum(steps) > 20
         assert out["steps"][0]["kind"] == "factor"
-
-
-class TestSplitStepTraces:
-    def test_no_diagram_traced_twice(self, traces):
-        inputs = [fixtures.pseudotref(), fixtures.aa6(), fixtures.gen2a(), fixtures.gen2b()]
-        for source in inputs:
-            d = PlanarDiagram.from_rows(source.crossings)
-            traces.clear()
-            split_step(d)
-            assert traces == []
 
 
 GOLDEN_FIXTURES = ("kink", "trefoil", "pseudotref", "clasp2", "connsum", "cycle4", "aa6", "gen2a", "gen2b")

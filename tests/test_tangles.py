@@ -116,8 +116,7 @@ class TestDecompose:
         dec = decompose(PSEUDOTREF)
         alt = edge_alternation(PSEUDOTREF)
         for fid in dec.channel_faces:
-            face = PSEUDOTREF.faces[fid]
-            assert any(not alt[lab] for lab in face.edges(PSEUDOTREF))
+            assert any(not alt[PSEUDOTREF.label(d)] for d in PSEUDOTREF.faces[fid])
 
     def test_sign_constancy_and_opposition(self, small_exhaustive_rows):
         for rows in small_exhaustive_rows[::3]:
